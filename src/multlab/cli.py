@@ -9,9 +9,10 @@ Exit codes: 0 for a definitive answer, including unsat decisions and
 failed verifications; 2 when a search found nothing or ran out of budget;
 1 for usage and input validation errors.
 
-Results are JSON documents with a fixed key order.  Under --deterministic
-the searches run sequentially and the output carries no wall-clock or
-thread information, so identical invocations produce identical bytes.
+Results are JSON documents with a fixed key order.  Searches run
+sequentially; --threads is accepted for interface uniformity.  Under
+--deterministic the output carries no wall-clock or thread information,
+so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .blockseq import DEFAULT_CAP, generate_block_sequence, subset_sum, verify_block_divisibility
+from .blockseq import DEFAULT_CAP, generate_block_sequence, verify_block_divisibility
 from .hildebrand import (
     FOUND,
     SAT,
@@ -34,7 +35,6 @@ from .hildebrand import (
 )
 from .hindman import (
     SearchBudgetExceeded,
-    SubsetColoring,
     max_parity_coloring,
     monochromatic_fu_search,
     random_coloring,
@@ -49,7 +49,8 @@ from .multfunc import (
     function_to_dict,
 )
 from .witness import (
-    fs_closure,
+    block_sum_coloring,
+    first_violation,
     ip_witness_direct,
     ip_witness_from_proof,
     verify_witness,
@@ -79,12 +80,12 @@ def _add_output_flags(p: argparse.ArgumentParser):
 
 def _add_search_flags(p: argparse.ArgumentParser, symmetry: bool = True):
     p.add_argument("--deterministic", action="store_true",
-                   help="sequential scan, reproducible output bytes")
+                   help="omit machine-dependent fields from the output")
     if symmetry:
         p.add_argument("--symmetry-reduction", action="store_true",
                        help="restrict the first prime to unit-orbit representatives")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; honored only without --deterministic")
+                   help="accepted for interface uniformity; searches are sequential")
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)
 
@@ -346,14 +347,7 @@ def cmd_hindman(args, parser: _Parser) -> int:
             seq = generate_block_sequence(args.n, cap=args.cap)
         except ValueError as exc:
             parser.error(str(exc))
-        cache: dict[tuple[int, ...], int] = {}
-
-        def color(block):
-            if block not in cache:
-                cache[block] = 1 + f.evaluate(subset_sum(seq, block))
-            return cache[block]
-
-        coloring = SubsetColoring(args.n, f.k, color)
+        coloring = block_sum_coloring(f, seq)
     status, reason, family = NOT_FOUND, None, None
     try:
         family = monochromatic_fu_search(coloring, args.m, node_budget=args.node_budget)
@@ -435,12 +429,8 @@ def cmd_verify_witness(args, parser: _Parser) -> int:
         witness = witness_from_dict(doc_in)
     except ValueError as exc:
         parser.error(str(exc))
-    first_violation = None
     try:
-        for s in fs_closure(witness.generators):
-            if witness.func.evaluate(s) != 0 or witness.func.evaluate(s + 1) != 0:
-                first_violation = s
-                break
+        violation = first_violation(witness)
     except ValueError as exc:
         parser.error(f"witness is not checkable: {exc}")
     doc = {
@@ -449,8 +439,8 @@ def cmd_verify_witness(args, parser: _Parser) -> int:
         "provenance": witness.provenance,
         "b1": str(witness.b1),
         "generators": [str(g) for g in witness.generators],
-        "valid": first_violation is None,
-        "first_violation": str(first_violation) if first_violation is not None else None,
+        "valid": violation is None,
+        "first_violation": str(violation) if violation is not None else None,
     }
     _emit(args, doc)
     return EXIT_OK

@@ -20,43 +20,32 @@ lex-least answer.
 from __future__ import annotations
 
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .arith import build_sieve, valuation
-from .multfunc import MultiplicativeFunction, find_runs
+from .arith import build_sieve
+from .multfunc import MultiplicativeFunction, assignment_from_pairs, find_runs
 
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 FOUND = "found"
 
-_STOPPED = "stopped"
 _CHECK_MASK = 0xFF
-
-
-class _Budget(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-class _Stopped(Exception):
-    pass
 
 
 @dataclass(frozen=True)
 class SearchOptions:
     """Knobs shared by the avoidance and constant searches.
 
-    deterministic forces a sequential scan whose answer (and node count)
-    depends only on the problem, never on thread scheduling; threads > 1
-    is honored only without it.  node_budget bounds assignments tried,
-    time_budget bounds wall-clock seconds; exceeding either yields an
-    unknown outcome instead of an answer.
+    Searches are sequential, so the answer and node count depend only on
+    the problem.  deterministic selects no code path here; front ends use
+    it to leave machine-dependent fields out of their output.  threads is
+    validated (>= 1) and otherwise ignored, for interface uniformity.
+    node_budget bounds assignments tried, time_budget bounds wall-clock
+    seconds; exceeding either yields an unknown outcome instead of an
+    answer.
     """
 
     deterministic: bool = False
@@ -162,23 +151,7 @@ def certificate_from_dict(doc: object) -> AvoidanceCertificate:
     for name in ("k", "r", "B"):
         if not isinstance(doc.get(name), int):
             raise ValueError(f"certificate field {name!r} must be an integer")
-    raw = doc.get("assignment")
-    if not isinstance(raw, list):
-        raise ValueError("certificate field 'assignment' must be a list of [prime, class] pairs")
-    assignment = {}
-    for entry in raw:
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(x, int) for x in entry)
-        ):
-            raise ValueError(
-                "certificate field 'assignment' must contain [prime, class] integer pairs"
-            )
-        p, c = entry
-        if p in assignment:
-            raise ValueError(f"certificate field 'assignment' repeats prime {p}")
-        assignment[p] = c
+    assignment = assignment_from_pairs(doc.get("assignment"), "certificate field 'assignment'")
     try:
         return AvoidanceCertificate(doc["k"], doc["r"], doc["B"], assignment)
     except ValueError as exc:
@@ -191,25 +164,18 @@ def _orbit_representatives(k: int) -> list[int]:
 
 
 class _Tables:
-    """Immutable per-problem tables, safe to share across search threads."""
+    """Immutable per-problem tables: the sieve and the windows of each prime."""
 
     def __init__(self, k: int, r: int, B: int):
         self.k = k
-        self.r = r
-        self.B = B
         self.limit = B + r - 1
         sieve = build_sieve(self.limit)
         self.primes = sieve.primes()
-        spf = sieve.spf
+        self.spf = spf = sieve.spf
         lp = [0] * (self.limit + 1)
         for n in range(2, self.limit + 1):
             lp[n] = max(spf[n], lp[n // spf[n]])
         index = {p: i for i, p in enumerate(self.primes)}
-        # multiples[i]: every (n, e) with primes[i]^e exactly dividing n <= limit
-        self.multiples: list[list[tuple[int, int]]] = [[] for _ in self.primes]
-        for p in self.primes:
-            for n in range(p, self.limit + 1, p):
-                self.multiples[index[p]].append((n, valuation(n, p)))
         # windows[i]: windows whose values become final when primes[i] is set,
         # stored as the window elements >= 2 (the integer 1 is always kernel)
         self.windows: list[list[tuple[int, ...]]] = [[] for _ in self.primes]
@@ -221,74 +187,59 @@ class _Tables:
 def _run_dfs(
     tables: _Tables,
     first_classes: list[int],
-    options: SearchOptions,
-    counter: list[int],
-    stop: threading.Event | None,
+    node_budget: int | None,
     deadline: float | None,
 ):
-    """Backtracking scan; returns (status, assignment, nodes, backtracks, depth, reason)."""
+    """Backtracking scan; returns (status, classes, reason, nodes, backtracks, depth)."""
     k = tables.k
-    nprimes = len(tables.primes)
-    val = [0] * (tables.limit + 1)
+    spf = tables.spf
+    primes = tables.primes
+    nprimes = len(primes)
+    # cls[p]: class last tried for the prime p.  A window is checked only
+    # once its largest prime is set, and primes are set in increasing
+    # order, so every prime it reads holds its current class.
+    cls = [0] * (tables.limit + 1)
     later = tuple(range(k))
-    assignment = [0] * nprimes
     pos = [0] * nprimes
     nodes = backtracks = depth_reached = 0
-    budget = options.node_budget
 
-    def shift(i: int, c: int, sign: int):
-        for n, e in tables.multiples[i]:
-            val[n] = (val[n] + sign * c * e) % k
+    def is_run(window: tuple[int, ...]) -> bool:
+        for n in window:
+            total = 0
+            while n > 1:
+                p = spf[n]
+                total += cls[p]
+                n //= p
+            if total % k:
+                return False
+        return True
 
     i = 0
-    status = UNSAT
-    result = None
-    reason = None
-    try:
-        while True:
-            if i == nprimes:
-                status = SAT
-                result = list(assignment)
-                break
-            classes = first_classes if i == 0 else later
-            advanced = False
-            while pos[i] < len(classes):
-                c = classes[pos[i]]
-                pos[i] += 1
-                nodes += 1
-                counter[0] += 1
-                if budget is not None and counter[0] > budget:
-                    raise _Budget("node-budget")
-                if nodes & _CHECK_MASK == 0:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise _Budget("time-budget")
-                    if stop is not None and stop.is_set():
-                        raise _Stopped
-                shift(i, c, 1)
-                assignment[i] = c
-                if any(all(val[n] == 0 for n in w) for w in tables.windows[i]):
-                    shift(i, c, -1)
-                    backtracks += 1
-                    continue
-                i += 1
-                depth_reached = max(depth_reached, i)
-                if i < nprimes:
-                    pos[i] = 0
-                advanced = True
-                break
-            if advanced:
+    while i < nprimes:
+        classes = first_classes if i == 0 else later
+        while pos[i] < len(classes):
+            c = classes[pos[i]]
+            pos[i] += 1
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return UNKNOWN, None, "node-budget", nodes, backtracks, depth_reached
+            if nodes & _CHECK_MASK == 0 and deadline is not None and time.monotonic() > deadline:
+                return UNKNOWN, None, "time-budget", nodes, backtracks, depth_reached
+            cls[primes[i]] = c
+            if any(map(is_run, tables.windows[i])):
+                backtracks += 1
                 continue
+            i += 1
+            depth_reached = max(depth_reached, i)
+            if i < nprimes:
+                pos[i] = 0
+            break
+        else:
             if i == 0:
-                break
+                return UNSAT, None, None, nodes, backtracks, depth_reached
             i -= 1
-            shift(i, assignment[i], -1)
             backtracks += 1
-    except _Budget as exc:
-        status = UNKNOWN
-        reason = exc.reason
-    except _Stopped:
-        status = _STOPPED
-    return status, result, nodes, backtracks, depth_reached, reason
+    return SAT, [cls[p] for p in primes], None, nodes, backtracks, depth_reached
 
 
 def avoidance_search(
@@ -296,11 +247,9 @@ def avoidance_search(
 ) -> SearchOutcome:
     """Decide whether some assignment avoids all r-runs starting at 1..B.
 
-    A sat outcome carries the lexicographically least certificate when the
-    scan was sequential (deterministic mode or one first-class branch);
-    parallel scans return the least certificate among the branches that
-    finished.  Every returned certificate is re-verified by exhaustive run
-    scan before it leaves the search.
+    The scan is sequential, so a sat outcome carries the lexicographically
+    least certificate.  Every returned certificate is re-verified by
+    exhaustive run scan before it leaves the search.
     """
     if k < 1:
         raise ValueError(f"modulus k must be >= 1, got {k}")
@@ -312,38 +261,16 @@ def avoidance_search(
     first = _orbit_representatives(k) if options.symmetry_reduction else list(range(k))
     t0 = time.monotonic()
     deadline = t0 + options.time_budget if options.time_budget is not None else None
-    counter = [0]
-    if options.threads > 1 and not options.deterministic and len(first) > 1:
-        stop = threading.Event()
-
-        def branch(c: int):
-            out = _run_dfs(tables, [c], options, counter, stop, deadline)
-            if out[0] == SAT:
-                stop.set()
-            return out
-
-        with ThreadPoolExecutor(max_workers=min(options.threads, len(first))) as pool:
-            results = list(pool.map(branch, first))
-    else:
-        results = [_run_dfs(tables, first, options, counter, None, deadline)]
-    stats = SearchStats(
-        nodes=sum(res[2] for res in results),
-        backtracks=sum(res[3] for res in results),
-        depth_reached=max(res[4] for res in results),
-        wall_time=time.monotonic() - t0,
+    status, classes, reason, nodes, backtracks, depth = _run_dfs(
+        tables, first, options.node_budget, deadline
     )
-    sats = [res[1] for res in results if res[0] == SAT]
-    if sats:
-        cert = AvoidanceCertificate(k, r, B, dict(zip(tables.primes, min(sats))))
-        if not verify_certificate(cert):
-            raise RuntimeError("internal error: satisfying assignment failed re-verification")
-        return SearchOutcome(SAT, cert, stats)
-    for res in results:
-        if res[0] == UNKNOWN:
-            return SearchOutcome(UNKNOWN, None, stats, res[5])
-    if any(res[0] == _STOPPED for res in results):
-        raise RuntimeError("internal error: branch stopped although no branch satisfied")
-    return SearchOutcome(UNSAT, None, stats)
+    stats = SearchStats(nodes, backtracks, depth, time.monotonic() - t0)
+    if status != SAT:
+        return SearchOutcome(status, None, stats, reason)
+    cert = AvoidanceCertificate(k, r, B, dict(zip(tables.primes, classes)))
+    if not verify_certificate(cert):
+        raise RuntimeError("internal error: satisfying assignment failed re-verification")
+    return SearchOutcome(SAT, cert, stats)
 
 
 def hildebrand_constant(

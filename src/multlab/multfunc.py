@@ -122,6 +122,29 @@ def function_to_dict(f: MultiplicativeFunction) -> dict:
     }
 
 
+def assignment_from_pairs(raw: object, field: str) -> dict[int, int]:
+    """Prime classes from a JSON list of [prime, class] pairs.
+
+    field names the document field in error messages; values are range
+    checked by the constructor the caller feeds the result to.
+    """
+    if not isinstance(raw, list):
+        raise ValueError(f"{field} must be a list of [prime, class] pairs")
+    assignment = {}
+    for entry in raw:
+        if (
+            not isinstance(entry, (list, tuple))
+            or len(entry) != 2
+            or not all(isinstance(x, int) for x in entry)
+        ):
+            raise ValueError(f"{field} must contain [prime, class] integer pairs")
+        p, c = entry
+        if p in assignment:
+            raise ValueError(f"{field} repeats prime {p}")
+        assignment[p] = c
+    return assignment
+
+
 def function_from_dict(doc: object) -> MultiplicativeFunction:
     """Parse a function spec document, naming the offending field on error."""
     if not isinstance(doc, dict):
@@ -140,23 +163,9 @@ def function_from_dict(doc: object) -> MultiplicativeFunction:
     default = doc.get("default", 0)
     if not isinstance(default, int):
         raise ValueError("function spec field 'default' must be an integer")
-    raw = doc.get("assignment", [])
-    if not isinstance(raw, list):
-        raise ValueError("function spec field 'assignment' must be a list of [prime, class] pairs")
-    assignment = {}
-    for entry in raw:
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(x, int) for x in entry)
-        ):
-            raise ValueError(
-                "function spec field 'assignment' must contain [prime, class] integer pairs"
-            )
-        p, c = entry
-        if p in assignment:
-            raise ValueError(f"function spec field 'assignment' repeats prime {p}")
-        assignment[p] = c
+    assignment = assignment_from_pairs(
+        doc.get("assignment", []), "function spec field 'assignment'"
+    )
     try:
         return MultiplicativeFunction(
             k, assignment, mode=mode, limit=limit, default_class=default

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .blockseq import DEFAULT_CAP, generate_block_sequence, subset_sum
+from .blockseq import DEFAULT_CAP, BlockSequence, generate_block_sequence, subset_sum
 from .hindman import BlockFamily, SubsetColoring, fu_closure, monochromatic_fu_search
 from .multfunc import (
     FINITE_SUPPORT,
@@ -86,13 +86,33 @@ def fs_multiplicities(generators: tuple[int, ...]) -> Counter:
     return counts
 
 
+def first_violation(witness: IPWitness) -> int | None:
+    """Least subset sum s with f(s) or f(s + 1) outside class 0, else None.
+
+    Raises ValueError when the function cannot evaluate some s or s + 1.
+    """
+    f = witness.func
+    for s in fs_closure(witness.generators):
+        if f.evaluate(s) != 0 or f.evaluate(s + 1) != 0:
+            return s
+    return None
+
+
 def verify_witness(witness: IPWitness) -> bool:
     """Recheck the claim: every subset sum s has f(s) = f(s + 1) = class 0."""
-    f = witness.func
-    return all(
-        f.evaluate(s) == 0 and f.evaluate(s + 1) == 0
-        for s in fs_closure(witness.generators)
-    )
+    return first_violation(witness) is None
+
+
+def block_sum_coloring(f: MultiplicativeFunction, seq: BlockSequence) -> SubsetColoring:
+    """Color each block A of {1..n} by 1 + the class of its term sum s_A, cached."""
+    cache: dict[tuple[int, ...], int] = {}
+
+    def color(block: tuple[int, ...]) -> int:
+        if block not in cache:
+            cache[block] = 1 + f.evaluate(subset_sum(seq, block))
+        return cache[block]
+
+    return SubsetColoring(seq.n, f.k, color)
 
 
 def ip_witness_direct(
@@ -159,16 +179,8 @@ def ip_witness_from_proof(
     if n_prefix < 1:
         raise ValueError(f"prefix length must be >= 1, got {n_prefix}")
     seq = generate_block_sequence(n_prefix, cap=cap)
-
-    cache: dict[tuple[int, ...], int] = {}
-
-    def color(block: tuple[int, ...]) -> int:
-        if block not in cache:
-            cache[block] = 1 + f.evaluate(subset_sum(seq, block))
-        return cache[block]
-
     family = monochromatic_fu_search(
-        SubsetColoring(n_prefix, f.k, color), m, node_budget=node_budget
+        block_sum_coloring(f, seq), m, node_budget=node_budget
     )
     if family is None:
         return None

@@ -261,3 +261,10 @@ def test_malformed_spec_file_is_usage_error(tmp_path):
 def test_unknown_subcommand_is_usage_error():
     code, _, err = run("frobnicate")
     assert code == 1
+
+
+def test_cli_import_loads_no_thread_pool():
+    code = "import sys, multlab.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -85,12 +85,14 @@ def test_symmetry_reduction_preserves_lex_least_answers():
 
 def test_threaded_search_agrees_on_status():
     opts = SearchOptions(threads=4)
-    for B in (4, 8, 9):
-        seq = avoidance_search(2, 2, B, DET)
-        par = avoidance_search(2, 2, B, opts)
+    for k, B in ((2, 4), (2, 8), (2, 9), (3, 20), (4, 30)):
+        seq = avoidance_search(k, 2, B, DET)
+        par = avoidance_search(k, 2, B, opts)
         assert par.status == seq.status
-        if par.status == SAT:
-            assert verify_certificate(par.certificate)
+        assert par.certificate == seq.certificate
+        assert par.stats.nodes == seq.stats.nodes
+        assert par.stats.backtracks == seq.stats.backtracks
+        assert par.stats.depth_reached == seq.stats.depth_reached
 
 
 def test_node_budget_yields_unknown():
@@ -101,6 +103,16 @@ def test_node_budget_yields_unknown():
     res = hildebrand_constant(2, 20, options=SearchOptions(node_budget=3))
     assert res.status == UNKNOWN
     assert res.reason == "node-budget"
+
+
+def test_time_budget_yields_unknown():
+    out = avoidance_search(5, 2, 7888, SearchOptions(time_budget=1e-9))
+    assert out.status == UNKNOWN
+    assert out.reason == "time-budget"
+    assert out.certificate is None
+    res = hildebrand_constant(4, 1300, options=SearchOptions(time_budget=1e-9))
+    assert res.status == UNKNOWN
+    assert res.reason == "time-budget"
 
 
 def test_stats_are_populated():
