@@ -1,4 +1,9 @@
-"""Prime sieving, factorization, and p-adic valuation primitives."""
+"""Prime sieving, factorization, p-adic valuation, and decimal conversion.
+
+The decimal converters lift Python's int <-> str digit limit (4300 digits
+by default) without touching it: the limit is process-wide, and the
+sequence terms and witness generators run far past it.
+"""
 
 from __future__ import annotations
 
@@ -53,16 +58,83 @@ def factorize(n: int, sieve: FactorizationSieve) -> list[tuple[int, int]]:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n; n may be arbitrarily large."""
+    """Largest e with p**e dividing n; n may be arbitrarily large.
+
+    n is first cut to a low window, n mod p^w, with w doubled from 64 until
+    the window is nonzero; then e = v_p(window) < w.  For p = 2 the window
+    is a bit mask and e its lowest set bit.  Otherwise the binary digits of
+    e are read from w/2 down, dividing the window by p^(w/2), p^(w/4), ...
+    where they divide.  That is O(log e) divisions, and none but the window
+    cuts touches a number the size of n.
+    """
     if n < 1:
         raise ValueError(f"valuation needs n >= 1, got {n}")
     if p < 2:
         raise ValueError(f"valuation needs a prime p >= 2, got {p}")
+    if p == 2:
+        width = 64
+        while not (low := n & ((1 << width) - 1)):
+            width <<= 1
+        return (low & -low).bit_length() - 1
+    if n % p:
+        return 0
+    width = 64
+    while not (low := n % p**width):
+        width <<= 1
     e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
+    step = width >> 1
+    while step:
+        quot, rem = divmod(low, p**step)
+        if not rem:
+            low = quot
+            e += step
+        step >>= 1
     return e
+
+
+# Below 640, the least nonzero int <-> str digit limit Python accepts, so
+# every piece converts natively whatever the limit is set to.
+_DECIMAL_CHUNK = 600
+
+
+def int_to_decimal(n: int) -> str:
+    """Decimal string of any int, split by powers 10^(600 * 2^j)."""
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    powers = [10**_DECIMAL_CHUNK]
+    while powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
+    return _decimal_digits(n, powers, len(powers) - 1, False)
+
+
+def _decimal_digits(n: int, powers: list[int], j: int, pad: bool) -> str:
+    """Digits of n < powers[j], zero-padded to 600 * 2^j digits when pad."""
+    if j == 0:
+        return str(n).zfill(_DECIMAL_CHUNK) if pad else str(n)
+    hi, lo = divmod(n, powers[j - 1])
+    if not (hi or pad):
+        return _decimal_digits(lo, powers, j - 1, False)
+    return _decimal_digits(hi, powers, j - 1, pad) + _decimal_digits(lo, powers, j - 1, True)
+
+
+def decimal_to_int(text: str) -> int:
+    """Inverse of int_to_decimal: an optional '-', then ASCII digits only.
+
+    Parsing is subquadratic but not linear, so callers taking outside input
+    cap its length first.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal string: {text[:20]!r}")
+    value = _parse_digits(digits)
+    return -value if len(digits) < len(text) else value
+
+
+def _parse_digits(digits: str) -> int:
+    if len(digits) <= _DECIMAL_CHUNK:
+        return int(digits)
+    low = len(digits) // 2
+    return _parse_digits(digits[:-low]) * 10**low + _parse_digits(digits[-low:])
 
 
 def is_prime(n: int) -> bool:

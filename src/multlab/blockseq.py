@@ -143,7 +143,7 @@ def generate_block_sequence(n: int, cap: int = DEFAULT_CAP) -> BlockSequence:
 
 @dataclass(frozen=True)
 class DivisibilityReport:
-    """Outcome of a full pairwise check; truthy exactly when it passed."""
+    """Outcome of a check over every separated pair; truthy exactly when it passed."""
 
     ok: bool
     checked: int
@@ -156,9 +156,30 @@ class DivisibilityReport:
 def verify_block_divisibility(seq: BlockSequence) -> DivisibilityReport:
     """Check s_A | s_B for every separated pair A, B of index sets.
 
-    Pairs are scanned with A, then B, in block order (max element, then
-    lex), and the first failing pair is reported.
+    The proof takes one product per cut.  For lo = 1..n, Q_lo is the
+    product of s_A over every nonempty A within {0..lo-1}, and the check is
+    Q_lo | s_lo.  Together these prove every pair: if max A < lo = min B,
+    then s_A is a factor of Q_lo, and each j in B has j >= lo, so
+    Q_lo | Q_j | s_j and Q_lo | s_B.  So n checks stand for all
+    (n - 1) * 2^n + 1 pairs (769 at n = 7), and the report counts those.
+    A generated sequence has s_lo = Q_lo, which needs no division.
+
+    The products are a stronger condition than the pairs they cover.  When
+    one check fails, the pairs are scanned one by one with A, then B, in
+    block order (max element, then lex), and the first failing pair is
+    reported, or the pass if none fails.
     """
+    terms = seq.terms
+    head = _all_subset_sums(terms[:-1])
+    for lo in range(1, len(terms)):
+        q = _balanced_product(head[1 : 1 << lo])
+        if terms[lo] != q and terms[lo] % q:
+            return _pairwise_divisibility(seq)
+    return DivisibilityReport(True, ((seq.n - 1) << seq.n) + 1)
+
+
+def _pairwise_divisibility(seq: BlockSequence) -> DivisibilityReport:
+    """Scan the pairs one by one in block order, up to the first failure."""
     last = seq.n
     checked = 0
     for a in nonempty_subsets_in_block_order(0, last):

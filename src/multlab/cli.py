@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 
+from .arith import int_to_decimal
 from .blockseq import DEFAULT_CAP, generate_block_sequence, verify_block_divisibility
 from .hildebrand import (
     FOUND,
@@ -108,8 +109,15 @@ def _load_json(path: str, parser: _Parser):
             return json.load(fh)
     except OSError as exc:
         parser.error(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        parser.error(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         parser.error(f"{path} is not valid JSON: {exc}")
+    except ValueError:  # json's error for an integer literal past the int/str limit
+        parser.error(
+            f"{path} holds an integer literal too long to parse; "
+            "write big integers as decimal strings"
+        )
 
 
 def _parse_primes(text: str, parser: _Parser) -> dict[int, int]:
@@ -307,16 +315,17 @@ def cmd_blockseq(args, parser: _Parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     report = verify_block_divisibility(seq)
+    terms = [int_to_decimal(t) for t in seq.terms]
     doc = {
         "command": "blockseq",
         "n": args.n,
-        "terms": [str(t) for t in seq.terms],
+        "terms": terms,
         "verified": report.ok,
         "pairs_checked": report.checked,
     }
     if not report.ok:
         doc["counterexample"] = [list(b) for b in report.counterexample]
-    _emit(args, doc, plain="".join(f"{t}\n" for t in seq.terms))
+    _emit(args, doc, plain="".join(f"{t}\n" for t in terms))
     return EXIT_OK
 
 
@@ -437,10 +446,10 @@ def cmd_verify_witness(args, parser: _Parser) -> int:
         "command": "verify-witness",
         "k": witness.func.k,
         "provenance": witness.provenance,
-        "b1": str(witness.b1),
-        "generators": [str(g) for g in witness.generators],
+        "b1": int_to_decimal(witness.b1),
+        "generators": [int_to_decimal(g) for g in witness.generators],
         "valid": violation is None,
-        "first_violation": str(violation) if violation is not None else None,
+        "first_violation": int_to_decimal(violation) if violation is not None else None,
     }
     _emit(args, doc)
     return EXIT_OK

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .arith import decimal_to_int, int_to_decimal
 from .blockseq import DEFAULT_CAP, BlockSequence, generate_block_sequence, subset_sum
 from .hindman import BlockFamily, SubsetColoring, fu_closure, monochromatic_fu_search
 from .multfunc import (
@@ -33,6 +34,11 @@ from .multfunc import (
 
 PROOF_PIPELINE = "proof-pipeline"
 DIRECT_SEARCH = "direct-search"
+
+# Longest decimal string a witness document may hold.  s_7, the largest
+# block-sequence term generated in seconds, has 710 086 digits; parsing
+# 10^6 digits takes about a second.
+MAX_DECIMAL_DIGITS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -208,13 +214,13 @@ def ip_witness_from_proof(
 
 
 def witness_to_dict(witness: IPWitness) -> dict:
-    """JSON-ready form; big integers travel as decimal strings."""
+    """JSON-ready form; big integers travel as decimal strings of any length."""
     doc = {
         "k": witness.func.k,
         "function": function_to_dict(witness.func),
         "provenance": witness.provenance,
-        "b1": str(witness.b1),
-        "generators": [str(g) for g in witness.generators],
+        "b1": int_to_decimal(witness.b1),
+        "generators": [int_to_decimal(g) for g in witness.generators],
     }
     if witness.blocks is not None:
         doc["blocks"] = [list(block) for block in witness.blocks]
@@ -222,11 +228,17 @@ def witness_to_dict(witness: IPWitness) -> dict:
 
 
 def _parse_big(value: object, where: str) -> int:
+    """An integer, or a decimal string of at most MAX_DECIMAL_DIGITS digits."""
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        if len(value) > MAX_DECIMAL_DIGITS:
+            raise ValueError(
+                f"witness field {where!r} has {len(value)} characters, over the "
+                f"cap of {MAX_DECIMAL_DIGITS} decimal digits"
+            )
         try:
-            return int(value, 10)
+            return decimal_to_int(value)
         except ValueError:
             pass
     raise ValueError(f"witness field {where!r} must be a decimal string or integer")

@@ -103,3 +103,36 @@ def powerset_sums(generators):
         for combo in combinations(generators, size):
             sums.append(sum(combo))
     return sums
+
+
+def naive_valuation(n, p):
+    """Exponent of p in n >= 1 by dividing out one factor at a time."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def naive_block_divisibility(terms):
+    """(ok, checked, counterexample) of a pair-by-pair divisibility scan.
+
+    Index sets are visited by (max element, tuple): A over all nonempty
+    subsets of 0..n, then B over the nonempty subsets of max(A)+1..n; the
+    scan stops at the first B whose sum is not a multiple of A's sum.
+    """
+    def blocks(lo, hi):
+        out = []
+        for size in range(1, hi - lo + 2):
+            out.extend(combinations(range(lo, hi + 1), size))
+        return sorted(out, key=lambda b: (max(b), b))
+
+    n = len(terms) - 1
+    checked = 0
+    for a in blocks(0, n):
+        sa = sum(terms[i] for i in a)
+        for b in blocks(max(a) + 1, n):
+            checked += 1
+            if sum(terms[i] for i in b) % sa:
+                return False, checked, (a, b)
+    return True, checked, None

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from multlab.arith import build_sieve, factorize, is_prime, valuation
 
-from oracles import primes_upto, trial_division_factors
+from oracles import naive_valuation, primes_upto, trial_division_factors
 
 
 def test_sieve_primes_match_trial_division():
@@ -62,6 +62,22 @@ def test_valuation_handles_big_integers():
     assert valuation(n, 2) == 120
     assert valuation(n, 3) == 45
     assert valuation(n, 5) == 0
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 65537]),
+    st.integers(min_value=0, max_value=9),
+    st.sampled_from([-1, 0, 1]),
+    st.integers(min_value=0, max_value=2**3000),
+    st.integers(min_value=1, max_value=65536),
+)
+def test_valuation_matches_repeated_division(p, j, shift, c, r):
+    # exponents around powers of two sit at the edges of the window widths
+    # and of the binary digits of the exponent
+    e = max(2**j + shift, 0)
+    cofactor = c * p + (r % (p - 1) + 1)  # not divisible by p
+    n = p**e * cofactor
+    assert valuation(n, p) == naive_valuation(n, p) == e
 
 
 def test_valuation_input_errors():

@@ -17,7 +17,7 @@ from multlab.blockseq import (
     verify_block_divisibility,
 )
 
-from oracles import powerset_sums
+from oracles import naive_block_divisibility, powerset_sums
 
 
 def test_frozen_initial_terms():
@@ -62,10 +62,17 @@ def test_sequence_validation():
     BlockSequence((1, 1, 2))  # repeat only between s_0 and s_1 is fine
 
 
+def separated_pairs(n):
+    # A with max m, then any nonempty B within m+1..n
+    return sum(2**m * (2 ** (n - m) - 1) for m in range(n))
+
+
 def test_verify_accepts_generated_sequences():
-    for n in range(7):
+    assert separated_pairs(6) == 321 and separated_pairs(7) == 769
+    for n in range(8):
         report = verify_block_divisibility(generate_block_sequence(n))
         assert report.ok
+        assert report.checked == separated_pairs(n)
         assert report.counterexample is None
 
 
@@ -73,6 +80,43 @@ def test_verify_finds_first_counterexample_in_block_order():
     report = verify_block_divisibility(BlockSequence((1, 2, 3)))
     assert not report.ok
     assert report.counterexample == ((1,), (2,))
+
+
+def test_verify_falls_back_to_pairs_when_the_product_fails():
+    # Every separated pair divides, but at the cut before index 3 the product
+    # 1 * 2 * 3 * 6 * 7 * 8 * 9 = 18144 does not divide s_3 = 504.
+    report = verify_block_divisibility(BlockSequence((1, 2, 6, 504)))
+    assert report.ok
+    assert report.checked == 17 == separated_pairs(3)
+    assert report.counterexample is None
+
+
+@st.composite
+def short_sequences(draw):
+    """Generated prefixes, one term moved by 1, or arbitrary increasing terms."""
+    kind = draw(st.sampled_from(["generated", "perturbed", "arbitrary"]))
+    if kind == "arbitrary":
+        steps = draw(st.lists(st.integers(1, 60), max_size=5))
+        terms = [1, draw(st.integers(1, 40))]
+        for step in steps:
+            terms.append(terms[-1] + step)
+        return tuple(terms[: draw(st.integers(1, len(terms)))])
+    terms = list(generate_block_sequence(draw(st.integers(0, 5))).terms)
+    if kind == "perturbed" and len(terms) > 1:
+        i = draw(st.integers(1, len(terms) - 1))
+        delta = draw(st.sampled_from([-1, 1]))
+        for moved in (terms[i] + delta, terms[i] - delta):
+            candidate = terms[:i] + [moved] + terms[i + 1 :]
+            if moved >= 1 and all(a < b for a, b in zip(candidate[1:], candidate[2:])):
+                terms = candidate
+                break
+    return tuple(terms)
+
+
+@given(short_sequences())
+def test_verify_matches_pairwise_oracle(terms):
+    report = verify_block_divisibility(BlockSequence(terms))
+    assert (report.ok, report.checked, report.counterexample) == naive_block_divisibility(terms)
 
 
 def test_subset_sum_and_validation():

@@ -116,6 +116,15 @@ def test_blockseq_terms_and_verification():
     assert out.splitlines() == ["1", "1", "2", "144"]
 
 
+def test_blockseq_prints_terms_past_the_int_str_limit():
+    code, doc = run_json("blockseq", "--n", "6")
+    assert code == 0
+    assert len(doc["terms"]) == 7
+    assert len(doc["terms"][6]) == 10925
+    assert doc["verified"] is True
+    assert doc["pairs_checked"] == 321
+
+
 def test_blockseq_cap_refusal_is_usage_error():
     code, out, err = run("blockseq", "--n", "40")
     assert code == 1
@@ -202,6 +211,42 @@ def test_witness_proof_pipeline():
     assert doc["verified"] is True
 
 
+def test_witness_proof_pipeline_past_the_int_str_limit(tmp_path):
+    path = tmp_path / "w.json"
+    code, out, err = run(
+        "witness", "--method", "proof", "--k", "2", "--primes", "2:1,3:1,5:1",
+        "--m", "4", "--n-prefix", "6", "--deterministic", "--out", str(path),
+    )
+    assert (code, out, err) == (0, "", "")
+    doc = json.loads(path.read_text())
+    assert doc["witness"]["blocks"] == [[1], [4], [5], [6]]
+    assert doc["verified"] is True
+    code, check = run_json("verify-witness", str(path))
+    assert code == 0
+    assert check["valid"] is True
+    assert check["generators"] == doc["witness"]["generators"]
+
+
+def test_verify_witness_refuses_oversized_numbers(tmp_path):
+    witness = {
+        "function": {"k": 2, "mode": "finite-support", "assignment": [[2, 1]]},
+        "provenance": "direct-search",
+        "generators": ["1" + "0" * 1_000_000],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(witness))
+    code, out, err = run("verify-witness", str(path))
+    assert code == 1
+    assert "cap of 1000000 decimal digits" in err
+    assert "Traceback" not in err
+    # the same number as a bare JSON integer literal is beyond what json parses
+    path.write_text(json.dumps(witness).replace('"1000', "1000").replace('0"]', "0]"))
+    code, out, err = run("verify-witness", str(path))
+    assert code == 1
+    assert "write big integers as decimal strings" in err
+    assert "Traceback" not in err
+
+
 def test_witness_flag_misuse_is_usage_error():
     code, _, err = run(
         "witness", "--method", "direct", "--m", "2", *LIOUVILLE
@@ -256,6 +301,11 @@ def test_malformed_spec_file_is_usage_error(tmp_path):
     code, _, err = run("runs", "--r", "2", "--bound", "10", "--spec", str(path))
     assert code == 1
     assert "not valid JSON" in err
+    path.write_bytes(b'{"k": 2, "mode": "\xff"}')
+    code, _, err = run("runs", "--r", "2", "--bound", "10", "--spec", str(path))
+    assert code == 1
+    assert "not UTF-8 text" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_is_usage_error():

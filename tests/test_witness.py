@@ -7,6 +7,7 @@ from multlab.multfunc import MultiplicativeFunction
 from multlab.witness import (
     DIRECT_SEARCH,
     PROOF_PIPELINE,
+    MAX_DECIMAL_DIGITS,
     IPWitness,
     fs_closure,
     fs_multiplicities,
@@ -171,6 +172,22 @@ def test_witness_dict_round_trip():
     back = witness_from_dict(doc)
     assert back == w
     assert witness_to_dict(back) == doc
+
+
+def test_witness_dict_round_trip_past_the_int_str_limit():
+    f = MultiplicativeFunction.finite_support(2, {2: 1, 3: 1, 5: 1})
+    w = ip_witness_from_proof(f, 4, 6)
+    doc = witness_to_dict(w)
+    assert [len(g) for g in doc["generators"]] == [20, 332, 10925]
+    assert witness_from_dict(doc) == w
+
+
+def test_witness_digit_cap_is_named():
+    f = MultiplicativeFunction.finite_support(2, {2: 1})
+    doc = witness_to_dict(ip_witness_from_proof(f, 2, 3))
+    doc["generators"] = ["9" * (MAX_DECIMAL_DIGITS + 1)]
+    with pytest.raises(ValueError, match=f"cap of {MAX_DECIMAL_DIGITS} decimal digits"):
+        witness_from_dict(doc)
 
 
 def test_witness_direct_dict_round_trip_omits_blocks():
