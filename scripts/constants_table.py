@@ -21,13 +21,11 @@ def main(argv=None):
     ap.add_argument("--r", type=int, default=2, help="run length (default 2)")
     ap.add_argument("--b-max", type=int, default=50)
     ap.add_argument("--node-budget", type=int, default=5_000_000)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--symmetry-reduction", action="store_true")
     args = ap.parse_args(argv)
 
     options = SearchOptions(
         symmetry_reduction=args.symmetry_reduction,
-        threads=args.threads,
         node_budget=args.node_budget,
     )
     print(f"{'k':>3}  {'status':<10} {'c':>6}  {'nodes':>12}  {'seconds':>8}")

@@ -24,13 +24,11 @@ def main(argv=None):
     ap.add_argument("--step", type=int, default=1, help="bound increment per probe")
     ap.add_argument("--node-budget", type=int, default=5_000_000,
                     help="budget per probe, not cumulative")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--symmetry-reduction", action="store_true")
     args = ap.parse_args(argv)
 
     options = SearchOptions(
         symmetry_reduction=args.symmetry_reduction,
-        threads=args.threads,
         node_budget=args.node_budget,
     )
     last_sat = None

@@ -338,25 +338,25 @@ def cmd_hindman(args, parser: _Parser) -> int:
     if args.coloring != "function" and inline_function:
         parser.error("function flags apply only to --coloring function")
     seed = None
-    if args.coloring == "size-parity":
-        coloring = size_parity_coloring(args.n)
-    elif args.coloring == "max-parity":
-        coloring = max_parity_coloring(args.n)
-    elif args.coloring == "random":
-        seed = args.seed if args.seed is not None else 0
-        classes = args.classes if args.classes is not None else 2
-        if classes < 1:
-            parser.error(f"--classes must be >= 1, got {classes}")
-        coloring = random_coloring(args.n, classes, seed)
-    else:
-        f = _function_from_args(args, parser)
-        if f.mode != FINITE_SUPPORT:
-            parser.error("--coloring function needs a finite-support function")
-        try:
+    try:
+        if args.coloring == "size-parity":
+            coloring = size_parity_coloring(args.n)
+        elif args.coloring == "max-parity":
+            coloring = max_parity_coloring(args.n)
+        elif args.coloring == "random":
+            seed = args.seed if args.seed is not None else 0
+            classes = args.classes if args.classes is not None else 2
+            if classes < 1:
+                parser.error(f"--classes must be >= 1, got {classes}")
+            coloring = random_coloring(args.n, classes, seed)
+        else:
+            f = _function_from_args(args, parser)
+            if f.mode != FINITE_SUPPORT:
+                parser.error("--coloring function needs a finite-support function")
             seq = generate_block_sequence(args.n, cap=args.cap)
-        except ValueError as exc:
-            parser.error(str(exc))
-        coloring = block_sum_coloring(f, seq)
+            coloring = block_sum_coloring(f, seq)
+    except ValueError as exc:
+        parser.error(str(exc))
     status, reason, family = NOT_FOUND, None, None
     try:
         family = monochromatic_fu_search(coloring, args.m, node_budget=args.node_budget)

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Mapping
 
 from .arith import build_sieve
@@ -164,41 +166,63 @@ def _orbit_representatives(k: int) -> list[int]:
 
 
 class _Tables:
-    """Immutable per-problem tables: the sieve and the windows of each prime."""
+    """The sieve and the windows of each prime, for every B up to a bound.
 
-    def __init__(self, k: int, r: int, B: int):
-        self.k = k
-        self.limit = B + r - 1
-        sieve = build_sieve(self.limit)
+    windows[i] lists the windows whose values become final when primes[i]
+    is set (primes[i] is the largest prime factor over their elements),
+    each stored as its elements >= 2 (the integer 1 is always kernel).
+    Windows are appended in increasing start order, so the tables of any
+    B <= bound are a prefix of these; view(B) cuts them out.
+    """
+
+    def __init__(self, r: int, bound: int):
+        self.r = r
+        self.bound = bound
+        limit = bound + r - 1
+        sieve = build_sieve(limit)
         self.primes = sieve.primes()
         self.spf = spf = sieve.spf
-        lp = [0] * (self.limit + 1)
-        for n in range(2, self.limit + 1):
+        lp = [0] * (limit + 1)
+        for n in range(2, limit + 1):
             lp[n] = max(spf[n], lp[n // spf[n]])
         index = {p: i for i, p in enumerate(self.primes)}
-        # windows[i]: windows whose values become final when primes[i] is set,
-        # stored as the window elements >= 2 (the integer 1 is always kernel)
         self.windows: list[list[tuple[int, ...]]] = [[] for _ in self.primes]
-        for a in range(1, B + 1):
-            elems = tuple(n for n in range(a, a + r) if n >= 2)
-            self.windows[index[max(lp[n] for n in elems)]].append(elems)
+        for a in range(1, bound + 1):
+            elems = tuple(range(max(a, 2), a + r))
+            self.windows[index[max(map(lp.__getitem__, elems))]].append(elems)
+
+    def view(self, B: int) -> tuple[list[int], list[list[tuple[int, ...]]]]:
+        """(primes, windows) of the problem at B <= bound.
+
+        Those are the primes up to B + r - 1 and, for each, the windows
+        starting at or before B, i.e. ending at or before B + r - 1.
+        """
+        if B == self.bound:
+            return self.primes, self.windows
+        limit = B + self.r - 1
+        primes = self.primes[: bisect_right(self.primes, limit)]
+        windows = []
+        for ws in self.windows[: len(primes)]:
+            end = bisect_right(ws, limit, key=itemgetter(-1))
+            windows.append(ws if end == len(ws) else ws[:end])
+        return primes, windows
 
 
 def _run_dfs(
-    tables: _Tables,
+    k: int,
+    spf: list[int],
+    primes: list[int],
+    windows: list[list[tuple[int, ...]]],
     first_classes: list[int],
     node_budget: int | None,
     deadline: float | None,
 ):
     """Backtracking scan; returns (status, classes, reason, nodes, backtracks, depth)."""
-    k = tables.k
-    spf = tables.spf
-    primes = tables.primes
     nprimes = len(primes)
     # cls[p]: class last tried for the prime p.  A window is checked only
     # once its largest prime is set, and primes are set in increasing
     # order, so every prime it reads holds its current class.
-    cls = [0] * (tables.limit + 1)
+    cls = [0] * (primes[-1] + 1)
     later = tuple(range(k))
     pos = [0] * nprimes
     nodes = backtracks = depth_reached = 0
@@ -226,7 +250,7 @@ def _run_dfs(
             if nodes & _CHECK_MASK == 0 and deadline is not None and time.monotonic() > deadline:
                 return UNKNOWN, None, "time-budget", nodes, backtracks, depth_reached
             cls[primes[i]] = c
-            if any(map(is_run, tables.windows[i])):
+            if any(map(is_run, windows[i])):
                 backtracks += 1
                 continue
             i += 1
@@ -242,32 +266,43 @@ def _run_dfs(
     return SAT, [cls[p] for p in primes], None, nodes, backtracks, depth_reached
 
 
+def _check_problem(k: int, r: int) -> None:
+    if k < 1:
+        raise ValueError(f"modulus k must be >= 1, got {k}")
+    if r < 2:
+        raise ValueError(f"run length must be >= 2, got {r}")
+
+
 def avoidance_search(
-    k: int, r: int, B: int, options: SearchOptions = SearchOptions()
+    k: int,
+    r: int,
+    B: int,
+    options: SearchOptions = SearchOptions(),
+    *,
+    _tables: _Tables | None = None,
 ) -> SearchOutcome:
     """Decide whether some assignment avoids all r-runs starting at 1..B.
 
     The scan is sequential, so a sat outcome carries the lexicographically
     least certificate.  Every returned certificate is re-verified by
-    exhaustive run scan before it leaves the search.
+    exhaustive run scan before it leaves the search.  _tables, built for
+    the same r and a bound >= B, replaces building tables for B alone.
     """
-    if k < 1:
-        raise ValueError(f"modulus k must be >= 1, got {k}")
-    if r < 2:
-        raise ValueError(f"run length must be >= 2, got {r}")
+    _check_problem(k, r)
     if B < 1:
         raise ValueError(f"avoidance bound must be >= 1, got {B}")
-    tables = _Tables(k, r, B)
+    tables = _Tables(r, B) if _tables is None else _tables
+    primes, windows = tables.view(B)
     first = _orbit_representatives(k) if options.symmetry_reduction else list(range(k))
     t0 = time.monotonic()
     deadline = t0 + options.time_budget if options.time_budget is not None else None
     status, classes, reason, nodes, backtracks, depth = _run_dfs(
-        tables, first, options.node_budget, deadline
+        k, tables.spf, primes, windows, first, options.node_budget, deadline
     )
     stats = SearchStats(nodes, backtracks, depth, time.monotonic() - t0)
     if status != SAT:
         return SearchOutcome(status, None, stats, reason)
-    cert = AvoidanceCertificate(k, r, B, dict(zip(tables.primes, classes)))
+    cert = AvoidanceCertificate(k, r, B, dict(zip(primes, classes)))
     if not verify_certificate(cert):
         raise RuntimeError("internal error: satisfying assignment failed re-verification")
     return SearchOutcome(SAT, cert, stats)
@@ -283,12 +318,19 @@ def hildebrand_constant(
     certificate for the preceding bound witnesses minimality.  Budgets in
     options are cumulative across the whole deepening; running out gives
     an unknown result carrying the deepest certificate obtained.
+
+    All probes read prefix views of one set of tables, rebuilt for twice
+    the probed bound (at least 64, at most B_max) whenever B passes the
+    bound it covers, so the builds cost at most about twice one build at
+    the final bound and a huge B_max allocates nothing up front.
     """
+    _check_problem(k, r)
     if B_max < 1:
         raise ValueError(f"deepening bound must be >= 1, got {B_max}")
     nodes = backtracks = depth = 0
     t0 = time.monotonic()
     prev_cert = None
+    tables = None
 
     def tally() -> SearchStats:
         return SearchStats(nodes, backtracks, depth, time.monotonic() - t0)
@@ -311,7 +353,9 @@ def hildebrand_constant(
                     tally(), "time-budget",
                 )
             opts = replace(opts, time_budget=left_t)
-        out = avoidance_search(k, r, B, opts)
+        if tables is None or B > tables.bound:
+            tables = _Tables(r, min(B_max, max(2 * B, 64)))
+        out = avoidance_search(k, r, B, opts, _tables=tables)
         nodes += out.stats.nodes
         backtracks += out.stats.backtracks
         depth = max(depth, out.stats.depth_reached)

@@ -22,6 +22,9 @@ from .blockseq import nonempty_subsets_in_block_order, normalize_index_set, prec
 
 Block = tuple[int, ...]
 
+# Largest universe random_coloring tabulates: 2^20 - 1 subsets (~180 MiB).
+MAX_RANDOM_N = 20
+
 
 class SearchBudgetExceeded(RuntimeError):
     """Raised when a search hits its node budget before deciding."""
@@ -149,7 +152,15 @@ def max_parity_coloring(n: int) -> SubsetColoring:
 
 
 def random_coloring(n: int, classes: int, seed: int) -> SubsetColoring:
-    """Seeded uniform coloring, fixed by drawing subsets in canonical order."""
+    """Seeded uniform coloring, fixed by drawing subsets in canonical order.
+
+    The coloring is tabulated, 2^n - 1 entries, so n is capped at
+    MAX_RANDOM_N and refused before anything is drawn.
+    """
+    if n > MAX_RANDOM_N:
+        raise ValueError(
+            f"random coloring tabulates 2^n - 1 subsets; n = {n} exceeds the cap {MAX_RANDOM_N}"
+        )
     rng = random.Random(seed)
     table = {
         block: rng.randint(1, classes)

@@ -81,8 +81,6 @@ class MultiplicativeFunction:
         return build_sieve(self.limit)
 
     def prime_class(self, p: int) -> int:
-        if self.mode == FINITE_SUPPORT:
-            return self.assignment.get(p, 0)
         return self.assignment.get(p, self.default_class)
 
     def evaluate(self, n: int) -> int:
@@ -193,9 +191,11 @@ def class_table(f: MultiplicativeFunction, upto: int) -> list[int]:
     if k == 1:
         return val
     spf = sieve.spf
+    prime_class = f.assignment.get
+    default = f.default_class
     for n in range(2, upto + 1):
         p = spf[n]
-        val[n] = (val[n // p] + f.prime_class(p)) % k
+        val[n] = (val[n // p] + prime_class(p, default)) % k
     return val
 
 
@@ -209,6 +209,10 @@ def find_runs(f: MultiplicativeFunction, r: int, bound: int) -> list[int]:
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     vals = class_table(f, bound + r - 1)
-    in_kernel = [v == 0 for v in vals]
-    in_kernel[0] = False
-    return [a for a in range(1, bound + 1) if all(in_kernel[a : a + r])]
+    runs = []
+    length = 0  # kernel values ending at n
+    for n in range(1, bound + r):
+        length = 0 if vals[n] else length + 1
+        if length >= r:
+            runs.append(n - r + 1)
+    return runs

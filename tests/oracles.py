@@ -6,7 +6,10 @@ instead of incremental pruning.  Test modules compare package results
 against these.
 """
 
+from dataclasses import replace
 from itertools import combinations, product
+
+from multlab.hildebrand import FOUND, UNKNOWN, UNSAT, avoidance_search
 
 
 def trial_division_factors(n):
@@ -136,3 +139,33 @@ def naive_block_divisibility(terms):
             if sum(terms[i] for i in b) % sa:
                 return False, checked, (a, b)
     return True, checked, None
+
+
+def fresh_probe_deepening(k, r, B_max, options):
+    """hildebrand_constant's answer from one fresh avoidance_search per B.
+
+    Returns (status, c, certificate, certificate_for, nodes, backtracks,
+    depth, reason); a node budget is shared by all probes.
+    """
+    nodes = backtracks = depth = 0
+    cert = None
+
+    def unknown(B, reason):
+        return UNKNOWN, None, cert, B - 1 if cert else None, nodes, backtracks, depth, reason
+
+    for B in range(1, B_max + 1):
+        opts = options
+        if options.node_budget is not None:
+            if options.node_budget - nodes < 1:
+                return unknown(B, "node-budget")
+            opts = replace(options, node_budget=options.node_budget - nodes)
+        out = avoidance_search(k, r, B, opts)
+        nodes += out.stats.nodes
+        backtracks += out.stats.backtracks
+        depth = max(depth, out.stats.depth_reached)
+        if out.status == UNKNOWN:
+            return unknown(B, out.reason)
+        if out.status == UNSAT:
+            return FOUND, B, cert, B - 1, nodes, backtracks, depth, None
+        cert = out.certificate
+    return UNKNOWN, None, cert, B_max, nodes, backtracks, depth, "sat-at-bmax"

@@ -159,6 +159,18 @@ def test_hindman_flag_misuse_is_usage_error():
     assert code == 1
 
 
+def test_hindman_oversized_or_empty_universe_is_usage_error():
+    for coloring, n, message in (
+        ("random", "40", "exceeds the cap 20"),
+        ("random", "0", "universe size"),
+        ("size-parity", "0", "universe size"),
+    ):
+        code, out, err = run("hindman", "--coloring", coloring, "--n", n, "--m", "2")
+        assert (code, out) == (1, "")
+        assert message in err
+        assert "Traceback" not in err
+
+
 def test_hindman_function_coloring():
     code, doc = run_json(
         "hindman", "--n", "3", "--m", "2", "--coloring", "function",

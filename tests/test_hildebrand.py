@@ -1,7 +1,11 @@
+import json
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multlab import cli
 from multlab.arith import build_sieve
 from multlab.hildebrand import (
     FOUND,
@@ -17,7 +21,7 @@ from multlab.hildebrand import (
     verify_certificate,
 )
 
-from oracles import brute_force_avoidance
+from oracles import brute_force_avoidance, fresh_probe_deepening
 
 DET = SearchOptions(deterministic=True)
 
@@ -115,6 +119,46 @@ def test_time_budget_yields_unknown():
     assert res.reason == "time-budget"
 
 
+def test_huge_deepening_bound_allocates_nothing_up_front():
+    t0 = time.monotonic()
+    res = hildebrand_constant(2, 10**9, options=DET)
+    assert time.monotonic() - t0 < 2.0
+    assert res.status == FOUND
+    assert res.c == 9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("symmetry", [False, True])
+def test_shared_tables_match_fresh_probes(k, r, symmetry):
+    # B_max 80 makes the tables grow from 64; 150 makes them grow twice.
+    for B_max in (1, 8, 64, 80, 150):
+        for node_budget in (None, 5, 40):
+            opts = SearchOptions(
+                deterministic=True, symmetry_reduction=symmetry, node_budget=node_budget
+            )
+            res = hildebrand_constant(k, B_max, r=r, options=opts)
+            got = (
+                res.status, res.c, res.certificate, res.certificate_for,
+                res.stats.nodes, res.stats.backtracks, res.stats.depth_reached,
+                res.reason,
+            )
+            assert got == fresh_probe_deepening(k, r, B_max, opts), (B_max, node_budget)
+
+
+@pytest.mark.parametrize(
+    "k, b_max, c, nodes, backtracks",
+    [(2, 100, 9, 51, 28), (3, 200, 77, 1655, 729)],
+)
+def test_cli_constant_pins_answer_and_counts(capsys, k, b_max, c, nodes, backtracks):
+    code = cli.main(["constant", "--k", str(k), "--b-max", str(b_max), "--deterministic"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (doc["status"], doc["c"], doc["certificate_for"]) == ("found", c, c - 1)
+    assert doc["certificate_verified"] is True
+    assert (doc["stats"]["nodes"], doc["stats"]["backtracks"]) == (nodes, backtracks)
+
+
 def test_stats_are_populated():
     out = avoidance_search(2, 2, 8, DET)
     assert out.stats.nodes > 0
@@ -131,6 +175,10 @@ def test_input_validation():
         avoidance_search(2, 2, 0)
     with pytest.raises(ValueError):
         hildebrand_constant(2, 0)
+    with pytest.raises(ValueError, match="modulus k must be >= 1, got 0"):
+        hildebrand_constant(0, 5)
+    with pytest.raises(ValueError, match="run length must be >= 2, got 1"):
+        hildebrand_constant(2, 5, r=1)
     with pytest.raises(ValueError):
         SearchOptions(threads=0)
     with pytest.raises(ValueError):

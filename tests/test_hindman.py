@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multlab.hindman import (
+    MAX_RANDOM_N,
     BlockFamily,
     SearchBudgetExceeded,
     SubsetColoring,
@@ -96,6 +97,11 @@ def test_random_coloring_is_seed_stable():
     a = random_coloring(6, 3, seed=11)
     b = random_coloring(6, 3, seed=11)
     assert all(a.color_of(blk) == b.color_of(blk) for blk in all_blocks(6))
+
+
+def test_random_coloring_refuses_oversized_universe():
+    with pytest.raises(ValueError, match=f"exceeds the cap {MAX_RANDOM_N}"):
+        random_coloring(MAX_RANDOM_N + 1, 2, seed=0)
 
 
 @given(st.integers(0, 200), st.integers(1, 3), st.integers(1, 3))
