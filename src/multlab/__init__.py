@@ -63,7 +63,6 @@ from .witness import (
     PROOF_PIPELINE,
     IPWitness,
     fs_closure,
-    fs_multiplicities,
     ip_witness_direct,
     ip_witness_from_proof,
     verify_witness,
@@ -89,7 +88,7 @@ __all__ = [
     "FINITE_SUPPORT", "SIEVE_BOUNDED", "MultiplicativeFunction", "class_table",
     "find_runs", "function_from_dict", "function_to_dict",
     "DIRECT_SEARCH", "PROOF_PIPELINE", "IPWitness", "fs_closure",
-    "fs_multiplicities", "ip_witness_direct", "ip_witness_from_proof",
+    "ip_witness_direct", "ip_witness_from_proof",
     "verify_witness", "witness_from_dict", "witness_to_dict",
     "__version__",
 ]

@@ -13,6 +13,7 @@ exponential, hence the hard generation cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 8
@@ -26,9 +27,9 @@ def normalize_index_set(indices: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(indices))
     if not out:
         raise ValueError("index set must be nonempty")
-    if any(i < 0 for i in out):
+    if out[0] < 0:
         raise ValueError(f"index set {out} contains a negative index")
-    if any(a == b for a, b in zip(out, out[1:])):
+    if any(map(eq, out, out[1:])):
         raise ValueError(f"index set {out} repeats an index")
     return out
 

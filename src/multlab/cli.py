@@ -362,6 +362,8 @@ def cmd_hindman(args, parser: _Parser) -> int:
         family = monochromatic_fu_search(coloring, args.m, node_budget=args.node_budget)
     except SearchBudgetExceeded:
         status, reason = UNKNOWN, "node-budget"
+    except ValueError as exc:
+        parser.error(str(exc))
     if family is not None:
         status = FOUND
     doc = {
@@ -392,8 +394,6 @@ def cmd_witness(args, parser: _Parser) -> int:
             parser.error("--n-prefix applies only to --method proof")
         if args.bound is None:
             parser.error("--method direct needs --bound")
-        if args.node_budget is not None:
-            parser.error("--node-budget applies only to --method proof (the bound caps direct scans)")
     status, reason, witness = NOT_FOUND, None, None
     try:
         if args.method == "proof":
@@ -401,7 +401,7 @@ def cmd_witness(args, parser: _Parser) -> int:
                 f, args.m, args.n_prefix, node_budget=args.node_budget, cap=args.cap
             )
         else:
-            witness = ip_witness_direct(f, args.m, args.bound)
+            witness = ip_witness_direct(f, args.m, args.bound, node_budget=args.node_budget)
     except SearchBudgetExceeded:
         status, reason = UNKNOWN, "node-budget"
     except ValueError as exc:
@@ -527,7 +527,9 @@ def build_parser() -> _Parser:
                    help="omit machine-dependent fields from the output")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for interface uniformity; witness scans are sequential")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=int, default=None,
+                   help="give up (exit 2) after this many candidate blocks (proof) "
+                        "or generators (direct)")
     _add_function_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_witness)

@@ -8,21 +8,25 @@ families; here the universe is finite, so the search can genuinely fail.
 
 Blocks are scanned in a fixed canonical order, by maximum element and then
 lexicographically, which makes the first family found a deterministic
-function of the coloring.
+function of the coloring.  Inside the search a block is an integer
+bitmask, a union is a bitwise or, and each subset is colored at most once
+(memoized by mask); the node count, and so the meaning of a node budget,
+is that of the plain search over tuples.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
 
-from .blockseq import nonempty_subsets_in_block_order, normalize_index_set, precedes
+from .blockseq import normalize_index_set, precedes
 
 Block = tuple[int, ...]
 
-# Largest universe random_coloring tabulates: 2^20 - 1 subsets (~180 MiB).
+# Largest universe random_coloring tabulates: 2^20 colors (~8 MiB, ~0.6 s).
 MAX_RANDOM_N = 20
 
 
@@ -88,6 +92,44 @@ def fu_closure(family: BlockFamily) -> list[Block]:
     return out
 
 
+def _block_masks(lo: int, mx: int, n: int) -> range:
+    """Masks of the subsets of {lo..mx} containing mx, in lexicographic order.
+
+    Element i is bit n - i, so the smallest element is the highest bit and
+    lexicographic order on blocks sharing their max is descending order of
+    the masks: a step of 2 * bit(mx) through every choice of {lo..mx - 1}.
+    """
+    low = 1 << (n - mx)
+    step = low << 1
+    return range(low + ((1 << (mx - lo)) - 1) * step, low - 1, -step)
+
+
+def _mask_of(block: Sequence[int], n: int) -> int:
+    return sum(map((1 << n).__rshift__, block))
+
+
+def _block_of(mask: int, n: int) -> Block:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(n + 1 - low.bit_length())
+        mask ^= low
+    out.reverse()
+    return tuple(out)
+
+
+class _MaskColors(dict):
+    """Color per block mask, asking coloring.color_of once per subset."""
+
+    def __init__(self, coloring: SubsetColoring):
+        super().__init__()
+        self.coloring = coloring
+
+    def __missing__(self, mask: int) -> int:
+        c = self[mask] = self.coloring.color_of(_block_of(mask, self.coloring.n))
+        return c
+
+
 def monochromatic_fu_search(
     coloring: SubsetColoring,
     m: int,
@@ -99,43 +141,53 @@ def monochromatic_fu_search(
     Depth-first over blocks in canonical order; a partial family is
     extended only while every union formed so far has the color of A_1,
     which is exactly the hereditary restriction of the final condition.
+    A candidate is checked alone first, then joined to each earlier union
+    in turn, and dropped at the first other color.  Blocks and unions are
+    bitmasks (see _block_masks), so a union is one `|`, and each subset is
+    colored through coloring.color_of at most once.  Memory grows with
+    the subsets actually colored, never with 2^n up front.
+
     Returns None when the finite universe is exhausted; raises
     SearchBudgetExceeded if node_budget candidate blocks were examined
     before either outcome.
     """
     if m < 1:
         raise ValueError(f"family size must be >= 1, got {m}")
+    n = coloring.n
+    color = _MaskColors(coloring)
+    limit = math.inf if node_budget is None else node_budget
     nodes = 0
 
-    def extend(chosen: list[Block], unions: list[Block], target: int, lo: int):
+    def extend(chosen: list[int], unions: list[int], target: int, lo: int):
         nonlocal nodes
         if len(chosen) == m:
-            return tuple(chosen)
-        if lo > coloring.n:
-            return None
-        for block in nonempty_subsets_in_block_order(lo, coloring.n):
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise SearchBudgetExceeded(
-                    f"monochromatic family search exceeded {node_budget} nodes"
-                )
-            if chosen:
-                grown = [block] + [u + block for u in unions]
-                if any(coloring.color_of(u) != target for u in grown):
+            return chosen
+        for mx in range(lo, n + 1):
+            for block in _block_masks(lo, mx, n):
+                nodes += 1
+                if nodes > limit:
+                    raise SearchBudgetExceeded(
+                        f"monochromatic family search exceeded {node_budget} nodes"
+                    )
+                if not chosen:
+                    target = color[block]
+                elif color[block] != target:
                     continue
-            else:
-                target = coloring.color_of(block)
-                grown = [block]
-            found = extend(chosen + [block], unions + grown, target, block[-1] + 1)
-            if found is not None:
-                return found
+                for u in unions:
+                    if color[u | block] != target:
+                        break
+                else:
+                    grown = [block] + [u | block for u in unions]
+                    found = extend(chosen + [block], unions + grown, target, mx + 1)
+                    if found is not None:
+                        return found
         return None
 
     found = extend([], [], 0, 1)
     if found is None:
         return None
-    family = BlockFamily(found)
-    colors = {coloring.color_of(u) for u in fu_closure(family)}
+    family = BlockFamily(tuple(_block_of(block, n) for block in found))
+    colors = {color[_mask_of(u, n)] for u in fu_closure(family)}
     if len(colors) != 1:
         raise RuntimeError(f"search returned a non-monochromatic family {family.blocks}")
     return family
@@ -154,16 +206,19 @@ def max_parity_coloring(n: int) -> SubsetColoring:
 def random_coloring(n: int, classes: int, seed: int) -> SubsetColoring:
     """Seeded uniform coloring, fixed by drawing subsets in canonical order.
 
-    The coloring is tabulated, 2^n - 1 entries, so n is capped at
-    MAX_RANDOM_N and refused before anything is drawn.
+    The colors are tabulated in a list indexed by block mask, 2^n entries,
+    so n is capped at MAX_RANDOM_N and refused before anything is drawn.
     """
     if n > MAX_RANDOM_N:
         raise ValueError(
             f"random coloring tabulates 2^n - 1 subsets; n = {n} exceeds the cap {MAX_RANDOM_N}"
         )
-    rng = random.Random(seed)
-    table = {
-        block: rng.randint(1, classes)
-        for block in nonempty_subsets_in_block_order(1, n)
-    }
-    return SubsetColoring(n, classes, table.__getitem__)
+    # Built first so n and classes are validated before the table exists;
+    # the lookup reads table only when called.
+    coloring = SubsetColoring(n, classes, lambda b: table[_mask_of(b, n)])
+    table = [0] * (1 << n)
+    draw = random.Random(seed).randint
+    for mx in range(1, n + 1):
+        for mask in _block_masks(1, mx, n):
+            table[mask] = draw(1, classes)
+    return coloring

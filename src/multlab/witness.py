@@ -18,12 +18,18 @@ subfamily.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 
 from .arith import decimal_to_int, int_to_decimal
 from .blockseq import DEFAULT_CAP, BlockSequence, generate_block_sequence, subset_sum
-from .hindman import BlockFamily, SubsetColoring, fu_closure, monochromatic_fu_search
+from .hindman import (
+    BlockFamily,
+    SearchBudgetExceeded,
+    SubsetColoring,
+    fu_closure,
+    monochromatic_fu_search,
+)
 from .multfunc import (
     FINITE_SUPPORT,
     MultiplicativeFunction,
@@ -82,16 +88,6 @@ def fs_closure(generators: tuple[int, ...]) -> list[int]:
     return sorted(sums)
 
 
-def fs_multiplicities(generators: tuple[int, ...]) -> Counter:
-    """How often each value arises as a subset sum (collision diagnostic)."""
-    if not generators:
-        raise ValueError("finite-sums closure needs at least one generator")
-    counts = Counter()
-    for mask in range(1, 1 << len(generators)):
-        counts[sum(g for i, g in enumerate(generators) if mask >> i & 1)] += 1
-    return counts
-
-
 def first_violation(witness: IPWitness) -> int | None:
     """Least subset sum s with f(s) or f(s + 1) outside class 0, else None.
 
@@ -122,23 +118,35 @@ def block_sum_coloring(f: MultiplicativeFunction, seq: BlockSequence) -> SubsetC
 
 
 def ip_witness_direct(
-    f: MultiplicativeFunction, m: int, bound: int
+    f: MultiplicativeFunction,
+    m: int,
+    bound: int,
+    *,
+    node_budget: int | None = None,
 ) -> IPWitness | None:
     """Lexicographically least m generators taken from kernel pairs <= bound.
 
     Scans S = {a <= bound : f(a) = f(a + 1) = class 0} and picks elements
     in increasing order so every subset sum stays inside S.  Returns None
-    when no such m-subset exists below the bound.
+    when no such m-subset exists below the bound; raises
+    SearchBudgetExceeded if node_budget candidate generators were examined
+    before either outcome.
     """
     if m < 1:
         raise ValueError(f"generator count must be >= 1, got {m}")
     pairs = find_runs(f, 2, bound)
     inside = set(pairs)
+    limit = math.inf if node_budget is None else node_budget
+    nodes = 0
 
     def extend(chosen: list[int], sums: list[int], start: int):
+        nonlocal nodes
         if len(chosen) == m:
             return tuple(chosen)
         for idx in range(start, len(pairs)):
+            nodes += 1
+            if nodes > limit:
+                raise SearchBudgetExceeded(f"direct witness search exceeded {node_budget} nodes")
             g = pairs[idx]
             grown = [g] + [s + g for s in sums]
             if any(s not in inside for s in grown):

@@ -9,6 +9,7 @@ against these.
 from dataclasses import replace
 from itertools import combinations, product
 
+from multlab.blockseq import nonempty_subsets_in_block_order
 from multlab.hildebrand import FOUND, UNKNOWN, UNSAT, avoidance_search
 
 
@@ -97,6 +98,38 @@ def brute_force_family(color, n, m):
         return None
 
     return extend([])
+
+
+def naive_fu_search(color, n, m):
+    """(family or None, nodes) of the depth-first family search on tuples.
+
+    Candidates come in block order (max element, then lex); a candidate
+    is checked alone, then joined to each earlier union in turn, and every
+    check asks color again.  nodes counts the candidates examined, which
+    is what a node budget limits.
+    """
+    nodes = 0
+
+    def extend(chosen, unions, target, lo):
+        nonlocal nodes
+        if len(chosen) == m:
+            return tuple(chosen)
+        for block in nonempty_subsets_in_block_order(lo, n):
+            nodes += 1
+            if chosen:
+                grown = [block] + [u + block for u in unions]
+                if any(color(u) != target for u in grown):
+                    continue
+            else:
+                target = color(block)
+                grown = [block]
+            found = extend(chosen + [block], unions + grown, target, block[-1] + 1)
+            if found is not None:
+                return found
+        return None
+
+    family = extend([], [], 0, 1)
+    return family, nodes
 
 
 def powerset_sums(generators):

@@ -148,6 +148,17 @@ def test_hindman_exit_codes():
     assert doc["reason"] == "node-budget"
 
 
+def test_hindman_random_coloring_pins():
+    base = ["hindman", "--coloring", "random", "--n", "15", "--seed", "0"]
+    code, doc = run_json(*base, "--m", "5")
+    assert code == 2
+    assert (doc["status"], doc["blocks"]) == ("not-found", None)
+    code, doc = run_json(*base, "--m", "4")
+    assert code == 0
+    assert doc["status"] == "found"
+    assert doc["blocks"] == [[1], [2, 3], [5, 7, 8], [9, 10, 13, 14, 15]]
+
+
 def test_hindman_flag_misuse_is_usage_error():
     code, _, err = run(
         "hindman", "--n", "4", "--m", "2", "--coloring", "size-parity",
@@ -157,6 +168,10 @@ def test_hindman_flag_misuse_is_usage_error():
     assert "--classes" in err
     code, _, err = run("hindman", "--n", "4", "--m", "2", "--coloring", "function")
     assert code == 1
+    code, out, err = run("hindman", "--n", "4", "--m", "0", "--coloring", "random")
+    assert (code, out) == (1, "")
+    assert "family size must be >= 1" in err
+    assert "Traceback" not in err
 
 
 def test_hindman_oversized_or_empty_universe_is_usage_error():
@@ -203,6 +218,21 @@ def test_witness_direct_and_verification(tmp_path):
     assert code == 0
     assert vdoc["valid"] is False
     assert vdoc["first_violation"] == "23"
+
+
+def test_witness_direct_node_budget_exits_two():
+    code, doc = run_json(
+        "witness", "--method", "direct", "--m", "3", "--bound", "30", *LIOUVILLE,
+        "--node-budget", "23",
+    )
+    assert code == 2
+    assert (doc["status"], doc["reason"]) == ("unknown", "node-budget")
+    assert doc["options"]["node_budget"] == 23
+    code, doc = run_json(
+        "witness", "--method", "direct", "--m", "3", "--bound", "30", *LIOUVILLE,
+        "--node-budget", "24",
+    )
+    assert (code, doc["status"], doc["reason"]) == (2, "not-found", None)
 
 
 def test_witness_not_found_exits_two():

@@ -1,3 +1,7 @@
+import random
+import time
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +18,7 @@ from multlab.hindman import (
     size_parity_coloring,
 )
 
-from oracles import all_blocks, brute_force_family, union_closure
+from oracles import all_blocks, brute_force_family, naive_fu_search, union_closure
 
 
 def test_family_validation():
@@ -124,3 +128,52 @@ def test_search_is_sound_on_random_colorings(seed):
     if family is not None:
         colors = {coloring.color_of(u) for u in fu_closure(family)}
         assert len(colors) == 1
+
+
+def seeded_table(n, classes, seed):
+    """Colors drawn for the blocks of {1..n} in block order, one per block."""
+    rng = random.Random(seed)
+    return {block: rng.randint(1, classes) for block in all_blocks(n)}
+
+
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 4), st.integers(0, 10**6))
+def test_search_matches_tuple_engine_and_its_node_count(n, classes, m, seed):
+    table = seeded_table(n, classes, seed)
+    coloring = SubsetColoring(n, classes, table.__getitem__)
+    expected, nodes = naive_fu_search(table.__getitem__, n, m)
+    family = monochromatic_fu_search(coloring, m, node_budget=nodes)
+    assert (family.blocks if family else None) == expected
+    with pytest.raises(SearchBudgetExceeded):
+        monochromatic_fu_search(coloring, m, node_budget=nodes - 1)
+
+
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 10**6))
+def test_random_coloring_draws_in_block_order(n, classes, seed):
+    table = seeded_table(n, classes, seed)
+    coloring = random_coloring(n, classes, seed)
+    assert all(coloring.color_of(block) == c for block, c in table.items())
+
+
+@pytest.mark.parametrize("seed,m", [(0, 4), (0, 5), (41, 4), (3, 3)])
+def test_each_subset_is_colored_at_most_once(seed, m):
+    n = 11
+    table = seeded_table(n, 2, seed)
+    calls = Counter()
+
+    def color(block):
+        calls[block] += 1
+        return table[block]
+
+    monochromatic_fu_search(SubsetColoring(n, 2, color), m)
+    assert calls and max(calls.values()) == 1
+
+
+def test_wide_universe_allocates_nothing_up_front():
+    # After A_1 = {1} no block of size parity can follow, so the search
+    # walks subsets of {2..60}; a budget stops it long before 2^59.
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded):
+        monochromatic_fu_search(size_parity_coloring(60), 3, node_budget=20_000)
+    family = monochromatic_fu_search(max_parity_coloring(60), 3)
+    assert family.blocks == ((1,), (2, 3), (4, 5))
+    assert time.perf_counter() - start < 1.0

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multlab.blockseq import generate_block_sequence, subset_sum
+from multlab.hindman import SearchBudgetExceeded
 from multlab.multfunc import MultiplicativeFunction
 from multlab.witness import (
     DIRECT_SEARCH,
@@ -10,7 +11,6 @@ from multlab.witness import (
     MAX_DECIMAL_DIGITS,
     IPWitness,
     fs_closure,
-    fs_multiplicities,
     ip_witness_direct,
     ip_witness_from_proof,
     verify_witness,
@@ -34,15 +34,12 @@ def test_fs_closure_basic():
 
 def test_fs_closure_deduplicates_collisions():
     assert fs_closure((1, 2, 3)) == [1, 2, 3, 4, 5, 6]
-    counts = fs_multiplicities((1, 2, 3))
-    assert counts[3] == 2  # 3 alone and 1 + 2
 
 
 @given(st.lists(st.integers(1, 50), min_size=1, max_size=8, unique=True))
 def test_fs_closure_matches_powerset_oracle(gens):
     gens = tuple(sorted(gens))
     assert fs_closure(gens) == sorted(set(powerset_sums(gens)))
-    assert sum(fs_multiplicities(gens).values()) == 2 ** len(gens) - 1
 
 
 def test_witness_validation():
@@ -86,6 +83,19 @@ def test_direct_witness_absent_when_no_closed_family_exists():
         2, {p: 0 if p % 3 == 1 else 1 for p in primes}, limit=7
     )
     assert ip_witness_direct(g, 1, 5) is None
+
+
+def test_direct_witness_node_budget():
+    # Kernel pairs up to 30 are 9, 14, 15, 21, 24, 25.  A node is one
+    # candidate generator examined: m = 2 tries 9, then 14 (9 + 14 = 23
+    # fails), then 15; m = 3 tries 6 first generators, 15 second ones and
+    # 3 third ones after (9, 15), the only closed pair.
+    f = liouville_prefix()
+    for m, bound, nodes in ((1, 30, 1), (2, 30, 3), (3, 30, 24), (2, 14, 3)):
+        expected = ip_witness_direct(f, m, bound)
+        assert ip_witness_direct(f, m, bound, node_budget=nodes) == expected
+        with pytest.raises(SearchBudgetExceeded):
+            ip_witness_direct(f, m, bound, node_budget=nodes - 1)
 
 
 def test_invalid_witness_rejected_by_verifier():
