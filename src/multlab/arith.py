@@ -1,4 +1,4 @@
-"""Prime sieving, factorization, p-adic valuation, and decimal conversion.
+"""Prime sieving, p-adic valuation, and decimal conversion.
 
 The decimal converters lift Python's int <-> str digit limit (4300 digits
 by default) without touching it: the limit is process-wide, and the
@@ -37,24 +37,6 @@ def build_sieve(limit: int) -> FactorizationSieve:
                 if spf[m] == m:
                     spf[m] = p
     return FactorizationSieve(limit, spf)
-
-
-def factorize(n: int, sieve: FactorizationSieve) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n in increasing prime order; 1 -> []."""
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}: need n >= 1")
-    if n > sieve.limit:
-        raise ValueError(f"{n} exceeds sieve limit {sieve.limit}")
-    out = []
-    spf = sieve.spf
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
 
 
 def valuation(n: int, p: int) -> int:

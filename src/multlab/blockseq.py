@@ -57,7 +57,17 @@ def nonempty_subsets_in_block_order(lo: int, hi: int) -> Iterator[tuple[int, ...
         yield from blocks_ending_at(lo, mx)
 
 
-@dataclass(frozen=True)
+def _term_text(t: int) -> str:
+    """A term for messages: in full up to 64 bits, else by its bit length.
+
+    s_6 is already past Python's int -> str digit limit, and s_7 has
+    710 086 digits, so a repr or error message never spells those out.
+    """
+    bits = t.bit_length()
+    return str(t) if bits <= 64 else f"<{bits}-bit integer>"
+
+
+@dataclass(frozen=True, repr=False)
 class BlockSequence:
     """Terms s_0..s_n; s_0 = 1 and the terms increase strictly from s_1 on."""
 
@@ -68,15 +78,20 @@ class BlockSequence:
         if not self.terms:
             raise ValueError("sequence needs at least the term s_0")
         if self.terms[0] != 1:
-            raise ValueError(f"s_0 must be 1, got {self.terms[0]}")
+            raise ValueError(f"s_0 must be 1, got {_term_text(self.terms[0])}")
         if any(t < 1 for t in self.terms):
             raise ValueError("all terms must be positive")
         for i in range(1, len(self.terms) - 1):
             if self.terms[i] >= self.terms[i + 1]:
                 raise ValueError(
                     f"terms must increase strictly from s_1 on; "
-                    f"s_{i} = {self.terms[i]} >= s_{i + 1} = {self.terms[i + 1]}"
+                    f"s_{i} = {_term_text(self.terms[i])} >= "
+                    f"s_{i + 1} = {_term_text(self.terms[i + 1])}"
                 )
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map(_term_text, self.terms))
+        return f"BlockSequence(terms=({shown}{',' if len(self.terms) == 1 else ''}))"
 
     @property
     def n(self) -> int:

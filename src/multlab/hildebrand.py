@@ -8,7 +8,13 @@ r = 2) is the forcing constant of k, and the value for k = 2 is 9.
 
 Primes receive classes in increasing order.  A window of r consecutive
 integers has final values once the largest prime factor over its elements
-is assigned, so every window is checked exactly once, at that moment.
+is assigned, so every window is checked exactly once per class tried at
+that prime.  The search keeps a table of the classes of the integers,
+grown prime by prime: the class of n is the class of n with its largest
+prime stripped, already final, plus that prime's exponent times its class.
+Trying a class at a prime writes only the integers it owns that lie in its
+windows; every other integer is written when the search reaches the first
+prime that reads it.
 Classes are tried in increasing order, which makes the first satisfying
 assignment found the lexicographically least one (prime-major,
 class-minor).  Relabeling classes by a unit of Z/kZ preserves the kernel,
@@ -23,7 +29,6 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Mapping
 
 from .arith import build_sieve
@@ -166,13 +171,27 @@ def _orbit_representatives(k: int) -> list[int]:
 
 
 class _Tables:
-    """The sieve and the windows of each prime, for every B up to a bound.
+    """Factor splits and per-prime work lists, for every B up to a bound.
 
-    windows[i] lists the windows whose values become final when primes[i]
-    is set (primes[i] is the largest prime factor over their elements),
-    each stored as its elements >= 2 (the integer 1 is always kernel).
-    Windows are appended in increasing start order, so the tables of any
-    B <= bound are a prefix of these; view(B) cuts them out.
+    For 2 <= n <= bound + r - 1, lpi[n] is the index of the largest prime
+    factor of n, cof[n] is n with that prime stripped and ex[n] is its
+    exponent, so the class of n is the class of cof[n] plus ex[n] times the
+    class of primes[lpi[n]], and cof[n] involves only smaller primes.  Per
+    prime index i, three increasing int lists:
+
+    * windows[i]: the starts a of the windows a..a+r-1 whose largest prime
+      factor over their elements is primes[i], so their values become
+      final when primes[i] is set;
+    * fresh[i]: the n with lpi[n] = i that lie in one of those windows;
+      the search writes their classes for every class it tries at i;
+    * due[i]: the n with lpi[n] < i that the search first reads at i, in
+      a window of primes[i] or as the cofactor of an integer written at
+      i; it writes their classes once on entering i.
+
+    Each n >= 2 is in exactly one fresh or due list, so an integer no
+    window reads until deep in the search costs nothing before then.  The
+    lists are appended in increasing order, so the tables of any B <= bound
+    are a prefix of each; view(B) cuts them out.
     """
 
     def __init__(self, r: int, bound: int):
@@ -180,67 +199,104 @@ class _Tables:
         self.bound = bound
         limit = bound + r - 1
         sieve = build_sieve(limit)
-        self.primes = sieve.primes()
-        self.spf = spf = sieve.spf
-        lp = [0] * (limit + 1)
-        for n in range(2, limit + 1):
-            lp[n] = max(spf[n], lp[n // spf[n]])
-        index = {p: i for i, p in enumerate(self.primes)}
-        self.windows: list[list[tuple[int, ...]]] = [[] for _ in self.primes]
+        spf = sieve.spf
+        self.primes = primes = sieve.primes()
+        self.lpi = lpi = [0] * (limit + 1)  # 0 pads the entries 0 and 1
+        self.cof = cof = [1] * (limit + 1)
+        self.ex = ex = [1] * (limit + 1)
+        for i, p in enumerate(primes):
+            lpi[p] = i
+        for n in range(4, limit + 1):
+            p = spf[n]
+            if p == n:
+                continue
+            m = n // p
+            lpi[n] = i = lpi[m]
+            if i == lpi[p]:
+                ex[n] = ex[m] + 1
+            else:
+                cof[n] = cof[m] * p
+                ex[n] = ex[m]
+        del sieve, spf
+        self.windows: list[list[int]] = [[] for _ in primes]
+        # first[n]: the prime index at which the search first reads n.
+        first = [len(primes)] * (limit + 1)
         for a in range(1, bound + 1):
-            elems = tuple(range(max(a, 2), a + r))
-            self.windows[index[max(map(lp.__getitem__, elems))]].append(elems)
+            i = max(lpi[a : a + r])
+            self.windows[i].append(a)
+            for n in range(a, a + r):
+                if i < first[n]:
+                    first[n] = i
+        # n is written at first[n], and reads its cofactor then; cof[n] < n,
+        # so a downward pass sees every reader of an integer before it.
+        for n in range(limit, 3, -1):
+            if first[n] < first[cof[n]]:
+                first[cof[n]] = first[n]
+        self.fresh: list[list[int]] = [[] for _ in primes]
+        self.due: list[list[int]] = [[] for _ in primes]
+        for n in range(2, limit + 1):
+            i = first[n]
+            (self.fresh if i == lpi[n] else self.due)[i].append(n)
 
-    def view(self, B: int) -> tuple[list[int], list[list[tuple[int, ...]]]]:
-        """(primes, windows) of the problem at B <= bound.
+    def view(self, B: int):
+        """(primes, fresh, due, windows) of the problem at B <= bound.
 
         Those are the primes up to B + r - 1 and, for each, the windows
-        starting at or before B, i.e. ending at or before B + r - 1.
+        starting at or before B and the integers up to B + r - 1 it writes.
+        A smaller B only drops readers, so no integer is read before the
+        search writes it.
         """
         if B == self.bound:
-            return self.primes, self.windows
+            return self.primes, self.fresh, self.due, self.windows
         limit = B + self.r - 1
-        primes = self.primes[: bisect_right(self.primes, limit)]
-        windows = []
-        for ws in self.windows[: len(primes)]:
-            end = bisect_right(ws, limit, key=itemgetter(-1))
-            windows.append(ws if end == len(ws) else ws[:end])
-        return primes, windows
+        nprimes = bisect_right(self.primes, limit)
+
+        def cut(lists: list[list[int]], top: int) -> list[list[int]]:
+            return [
+                xs if not xs or xs[-1] <= top else xs[: bisect_right(xs, top)]
+                for xs in lists[:nprimes]
+            ]
+
+        return (
+            self.primes[:nprimes],
+            cut(self.fresh, limit),
+            cut(self.due, limit),
+            cut(self.windows, B),
+        )
 
 
 def _run_dfs(
     k: int,
-    spf: list[int],
+    tables: _Tables,
     primes: list[int],
-    windows: list[list[tuple[int, ...]]],
+    fresh: list[list[int]],
+    due: list[list[int]],
+    windows: list[list[int]],
     first_classes: list[int],
     node_budget: int | None,
     deadline: float | None,
 ):
-    """Backtracking scan; returns (status, classes, reason, nodes, backtracks, depth)."""
+    """Backtracking scan; returns (status, classes, reason, nodes, backtracks, depth).
+
+    val[n] holds the class of n under the classes currently set.  Entering
+    prime index i writes val for due[i], whose primes are all set.  Trying
+    class c at i writes val for fresh[i], then tests the windows of prime i
+    in increasing start order, stopping at the first kernel run.  Every
+    value a window or a cofactor lookup reads was thus written on the
+    current path, and every window is tested exactly once per class tried
+    at its largest prime.
+    """
+    r, lpi, cof, ex = tables.r, tables.lpi, tables.cof, tables.ex
     nprimes = len(primes)
-    # cls[p]: class last tried for the prime p.  A window is checked only
-    # once its largest prime is set, and primes are set in increasing
-    # order, so every prime it reads holds its current class.
-    cls = [0] * (primes[-1] + 1)
+    val = [0] * len(cof)
+    cls = [0] * nprimes
     later = tuple(range(k))
     pos = [0] * nprimes
     nodes = backtracks = depth_reached = 0
-
-    def is_run(window: tuple[int, ...]) -> bool:
-        for n in window:
-            total = 0
-            while n > 1:
-                p = spf[n]
-                total += cls[p]
-                n //= p
-            if total % k:
-                return False
-        return True
-
     i = 0
     while i < nprimes:
         classes = first_classes if i == 0 else later
+        own_fresh, own_windows = fresh[i], windows[i]
         while pos[i] < len(classes):
             c = classes[pos[i]]
             pos[i] += 1
@@ -249,21 +305,28 @@ def _run_dfs(
                 return UNKNOWN, None, "node-budget", nodes, backtracks, depth_reached
             if nodes & _CHECK_MASK == 0 and deadline is not None and time.monotonic() > deadline:
                 return UNKNOWN, None, "time-budget", nodes, backtracks, depth_reached
-            cls[primes[i]] = c
-            if any(map(is_run, windows[i])):
-                backtracks += 1
-                continue
-            i += 1
-            depth_reached = max(depth_reached, i)
-            if i < nprimes:
-                pos[i] = 0
-            break
+            for n in own_fresh:
+                val[n] = (val[cof[n]] + ex[n] * c) % k
+            for a in own_windows:
+                # Most windows fail on their first value, before any slice.
+                if not val[a] and not any(val[a + 1 : a + r]):
+                    backtracks += 1
+                    break
+            else:
+                cls[i] = c
+                i += 1
+                depth_reached = max(depth_reached, i)
+                if i < nprimes:
+                    pos[i] = 0
+                    for n in due[i]:
+                        val[n] = (val[cof[n]] + ex[n] * cls[lpi[n]]) % k
+                break
         else:
             if i == 0:
                 return UNSAT, None, None, nodes, backtracks, depth_reached
             i -= 1
             backtracks += 1
-    return SAT, [cls[p] for p in primes], None, nodes, backtracks, depth_reached
+    return SAT, cls, None, nodes, backtracks, depth_reached
 
 
 def _check_problem(k: int, r: int) -> None:
@@ -292,13 +355,16 @@ def avoidance_search(
     if B < 1:
         raise ValueError(f"avoidance bound must be >= 1, got {B}")
     tables = _Tables(r, B) if _tables is None else _tables
-    primes, windows = tables.view(B)
+    primes, fresh, due, windows = tables.view(B)
     first = _orbit_representatives(k) if options.symmetry_reduction else list(range(k))
     t0 = time.monotonic()
     deadline = t0 + options.time_budget if options.time_budget is not None else None
     status, classes, reason, nodes, backtracks, depth = _run_dfs(
-        k, tables.spf, primes, windows, first, options.node_budget, deadline
+        k, tables, primes, fresh, due, windows, first, options.node_budget, deadline
     )
+    # Tables built here for B alone are garbage from now on: free them
+    # before the certificate builds its own sieves.
+    del tables, fresh, due, windows
     stats = SearchStats(nodes, backtracks, depth, time.monotonic() - t0)
     if status != SAT:
         return SearchOutcome(status, None, stats, reason)

@@ -13,7 +13,9 @@ Two storage modes:
   valuations at the support primes matter.
 * ``sieve-bounded`` -- every prime up to ``limit`` carries a class (listed
   explicitly or falling back to ``default_class``); evaluation is restricted
-  to 1..limit and runs off a smallest-prime-factor sieve.
+  to 1..limit and runs off a smallest-prime-factor sieve, built on
+  construction when some prime is listed (the keys are checked on it) and
+  otherwise at the first evaluation.
 """
 
 from __future__ import annotations
@@ -54,8 +56,12 @@ class MultiplicativeFunction:
                 raise ValueError("finite-support mode takes no limit")
             if self.default_class != 0:
                 raise ValueError("finite-support mode forces default class 0")
+        # A sieve-bounded function checks its keys on the sieve it evaluates
+        # with; keys outside 2..limit fail either way and take trial division.
+        spf = self._sieve.spf if self.mode == SIEVE_BOUNDED and self.assignment else None
         for p, c in self.assignment.items():
-            if not is_prime(p):
+            on_sieve = spf is not None and 2 <= p <= self.limit
+            if not (spf[p] == p if on_sieve else is_prime(p)):
                 raise ValueError(f"assignment key {p} is not prime")
             if not 0 <= c < self.k:
                 raise ValueError(f"class {c} for prime {p} outside 0..{self.k - 1}")

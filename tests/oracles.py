@@ -6,11 +6,13 @@ instead of incremental pruning.  Test modules compare package results
 against these.
 """
 
+import math
 from dataclasses import replace
 from itertools import combinations, product
 
+from multlab.arith import build_sieve
 from multlab.blockseq import nonempty_subsets_in_block_order
-from multlab.hildebrand import FOUND, UNKNOWN, UNSAT, avoidance_search
+from multlab.hildebrand import FOUND, SAT, UNKNOWN, UNSAT, avoidance_search
 
 
 def trial_division_factors(n):
@@ -202,3 +204,66 @@ def fresh_probe_deepening(k, r, B_max, options):
             return FOUND, B, cert, B - 1, nodes, backtracks, depth, None
         cert = out.certificate
     return UNKNOWN, None, cert, B_max, nodes, backtracks, depth, "sat-at-bmax"
+
+
+def spf_walk_avoidance(k, r, B, symmetry=False, node_budget=None):
+    """(status, assignment, nodes, backtracks, depth, reason) of the avoidance scan.
+
+    The same depth-first search as avoidance_search, with no class table:
+    each window is filed under the largest prime factor of its elements,
+    and testing it walks the smallest-prime-factor sieve of every element,
+    summing the current classes of the primes met.  Node, backtrack and
+    depth counts follow the same rules, so the two must agree exactly.
+    """
+    limit = B + r - 1
+    spf = build_sieve(limit).spf
+    primes = [n for n in range(2, limit + 1) if spf[n] == n]
+    largest = [0] * (limit + 1)
+    for n in range(2, limit + 1):
+        largest[n] = max(spf[n], largest[n // spf[n]])
+    index = {p: i for i, p in enumerate(primes)}
+    windows = [[] for _ in primes]
+    for a in range(1, B + 1):
+        elems = tuple(range(max(a, 2), a + r))
+        windows[index[max(largest[n] for n in elems)]].append(elems)
+
+    cls = [0] * (limit + 1)
+
+    def is_run(window):
+        for n in window:
+            total = 0
+            while n > 1:
+                p = spf[n]
+                total += cls[p]
+                n //= p
+            if total % k:
+                return False
+        return True
+
+    first = sorted({math.gcd(c, k) % k for c in range(k)}) if symmetry else list(range(k))
+    pos = [0] * len(primes)
+    nodes = backtracks = depth = 0
+    i = 0
+    while i < len(primes):
+        classes = first if i == 0 else range(k)
+        while pos[i] < len(classes):
+            c = classes[pos[i]]
+            pos[i] += 1
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return UNKNOWN, None, nodes, backtracks, depth, "node-budget"
+            cls[primes[i]] = c
+            if any(map(is_run, windows[i])):
+                backtracks += 1
+                continue
+            i += 1
+            depth = max(depth, i)
+            if i < len(primes):
+                pos[i] = 0
+            break
+        else:
+            if i == 0:
+                return UNSAT, None, nodes, backtracks, depth, None
+            i -= 1
+            backtracks += 1
+    return SAT, {p: cls[p] for p in primes}, nodes, backtracks, depth, None

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlab.arith import build_sieve, factorize, is_prime, valuation
+from multlab.arith import build_sieve, is_prime, valuation
 
-from oracles import naive_valuation, primes_upto, trial_division_factors
+from oracles import naive_valuation, primes_upto
 
 
 def test_sieve_primes_match_trial_division():
@@ -15,39 +15,6 @@ def test_sieve_primes_match_trial_division():
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         build_sieve(1)
-
-
-def test_factorize_small_cases():
-    sieve = build_sieve(100)
-    assert factorize(1, sieve) == []
-    assert factorize(2, sieve) == [(2, 1)]
-    assert factorize(84, sieve) == [(2, 2), (3, 1), (7, 1)]
-    assert factorize(97, sieve) == [(97, 1)]
-
-
-def test_factorize_range_errors():
-    sieve = build_sieve(20)
-    with pytest.raises(ValueError):
-        factorize(0, sieve)
-    with pytest.raises(ValueError):
-        factorize(21, sieve)
-
-
-@given(st.integers(min_value=1, max_value=3000))
-def test_factorize_matches_trial_division(n):
-    sieve = build_sieve(3000)
-    assert factorize(n, sieve) == trial_division_factors(n)
-
-
-@given(st.integers(min_value=1, max_value=3000))
-def test_factorize_reconstructs_argument(n):
-    sieve = build_sieve(3000)
-    prod = 1
-    for p, e in factorize(n, sieve):
-        assert is_prime(p)
-        assert e >= 1
-        prod *= p**e
-    assert prod == n
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.sampled_from([2, 3, 5, 7, 11]))

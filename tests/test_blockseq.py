@@ -62,6 +62,19 @@ def test_sequence_validation():
     BlockSequence((1, 1, 2))  # repeat only between s_0 and s_1 is fine
 
 
+def test_repr_past_the_int_str_limit():
+    seq = generate_block_sequence(6)
+    assert seq.terms[6].bit_length() == 36291  # past the 4300-digit limit
+    assert repr(seq) == (
+        "BlockSequence(terms=(1, 1, 2, 144, <65-bit integer>, "
+        "<1100-bit integer>, <36291-bit integer>))"
+    )
+    assert repr(BlockSequence((1,))) == "BlockSequence(terms=(1,))"
+    assert repr(BlockSequence((1, 2, 6))) == repr((1, 2, 6)).join(("BlockSequence(terms=", ")"))
+    with pytest.raises(ValueError, match=r"s_1 = <7925-bit integer> >= s_2 = 2$"):
+        BlockSequence((1, 3**5000, 2))
+
+
 def separated_pairs(n):
     # A with max m, then any nonempty B within m+1..n
     return sum(2**m * (2 ** (n - m) - 1) for m in range(n))

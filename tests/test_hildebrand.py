@@ -18,10 +18,16 @@ from multlab.hildebrand import (
     certificate_from_dict,
     certificate_to_dict,
     hildebrand_constant,
+    _Tables,
     verify_certificate,
 )
 
-from oracles import brute_force_avoidance, fresh_probe_deepening
+from oracles import (
+    brute_force_avoidance,
+    fresh_probe_deepening,
+    spf_walk_avoidance,
+    trial_division_factors,
+)
 
 DET = SearchOptions(deterministic=True)
 
@@ -229,3 +235,96 @@ def test_search_decision_matches_brute_force(k, r, B):
     assert (out.status == SAT) == sat
     if sat:
         assert out.certificate.assignment == least
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from([2, 3, 4]),
+    st.integers(1, 400),
+    st.booleans(),
+    st.sampled_from([None, 5, 40]),
+)
+def test_class_table_engine_matches_spf_walk(k, r, B, symmetry, node_budget):
+    opts = SearchOptions(
+        deterministic=True, symmetry_reduction=symmetry, node_budget=node_budget
+    )
+    out = avoidance_search(k, r, B, opts)
+    got = (
+        out.status,
+        out.certificate.assignment if out.certificate else None,
+        out.stats.nodes, out.stats.backtracks, out.stats.depth_reached, out.reason,
+    )
+    assert got == spf_walk_avoidance(k, r, B, symmetry, node_budget)
+
+
+@pytest.mark.parametrize(
+    "k, B, status, nodes, backtracks, depth",
+    [
+        (5, 7887, SAT, 1522, 525, 997),
+        (5, 7888, UNSAT, 29825, 29825, 25),
+        (6, 10**5, SAT, 12367, 2775, 9592),
+    ],
+)
+def test_large_probes_pin_status_and_counts(k, B, status, nodes, backtracks, depth):
+    out = avoidance_search(k, 2, B, DET)
+    assert out.status == status
+    stats = out.stats
+    assert (stats.nodes, stats.backtracks, stats.depth_reached) == (nodes, backtracks, depth)
+    assert (out.certificate is not None) == (status == SAT)
+
+
+# Windows of three integers starting at 1..2998 reach up to 3000.
+SPLIT = _Tables(3, 2998)
+
+
+@given(st.integers(min_value=2, max_value=3000))
+def test_tables_split_matches_trial_division(n):
+    *smaller, (p, e) = trial_division_factors(n)
+    assert SPLIT.primes[SPLIT.lpi[n]] == p
+    assert SPLIT.ex[n] == e
+    assert trial_division_factors(SPLIT.cof[n]) == smaller
+
+
+@given(st.integers(min_value=2, max_value=3000))
+def test_tables_split_reconstructs_argument(n):
+    p = SPLIT.primes[SPLIT.lpi[n]]
+    assert SPLIT.cof[n] * p ** SPLIT.ex[n] == n
+    assert all(q < p for q, _ in trial_division_factors(SPLIT.cof[n]))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("bound, B", [(300, 300), (300, 7), (300, 150), (300, 299)])
+def test_tables_write_each_integer_before_its_first_read(r, bound, B):
+    tables = _Tables(r, bound)
+    primes, fresh, due, windows = tables.view(B)
+    lpi, cof = tables.lpi, tables.cof
+    limit = B + r - 1
+    assert primes == [p for p in tables.primes if p <= limit]
+    assert sorted(a for ws in windows for a in ws) == list(range(1, B + 1))
+    written = {}
+    for i, (ns, ds) in enumerate(zip(fresh, due)):
+        assert ns == sorted(ns) and ds == sorted(ds)
+        assert all(lpi[n] == i for n in ns) and all(lpi[n] < i for n in ds)
+        for n in ds + ns:
+            assert n not in written
+            written[n] = i
+    # Integers no window of the view reads may sit past its last prime.
+    assert set(written) <= set(range(2, limit + 1))
+    for i, ws in enumerate(windows):
+        for a in ws:
+            elems = range(max(a, 2), a + r)
+            assert max(lpi[n] for n in elems) == i
+            assert all(written[n] <= i for n in elems)
+            assert all(n in fresh[i] for n in elems if lpi[n] == i)
+    for n, i in written.items():
+        if cof[n] > 1:
+            assert written[cof[n]] <= i
+    if B == bound:
+        # A due integer is read where it is due: in a window there, or as
+        # the cofactor of an integer written there.
+        for i, ds in enumerate(due):
+            readers = {n for a in windows[i] for n in range(a, a + r)}
+            readers |= {cof[m] for m in fresh[i] + ds}
+            assert set(ds) <= readers
+        assert sorted(written) == list(range(2, limit + 1))

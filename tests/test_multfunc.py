@@ -56,6 +56,34 @@ def test_constructor_validation():
         MultiplicativeFunction(2, {13: 1}, mode=SIEVE_BOUNDED, limit=10)
 
 
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ({2: 1, 9: 1}, "assignment key 9 is not prime"),
+        ({-3: 1}, "assignment key -3 is not prime"),
+        ({0: 1}, "assignment key 0 is not prime"),
+        ({1: 1}, "assignment key 1 is not prime"),
+        ({21: 1}, "assignment key 21 is not prime"),
+        ({13: 1}, "assigned prime 13 exceeds limit 10"),
+        ({13: 5}, "class 5 for prime 13 outside 0..1"),
+        ({7: 2, 4: 1}, "class 2 for prime 7 outside 0..1"),
+        ({4: 2, 7: 1}, "assignment key 4 is not prime"),
+    ],
+)
+def test_sieve_bounded_key_errors_keep_their_messages(assignment, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MultiplicativeFunction.sieve_bounded(2, assignment, 10)
+
+
+def test_sieve_bounded_keys_are_checked_on_the_evaluation_sieve():
+    liouville = MultiplicativeFunction.sieve_bounded(2, {}, 10**9, default_class=1)
+    assert "_sieve" not in vars(liouville)
+    f = MultiplicativeFunction.sieve_bounded(3, {2: 1, 7: 2}, 50)
+    sieve = vars(f)["_sieve"]
+    class_table(f, 50)
+    assert vars(f)["_sieve"] is sieve
+
+
 def test_evaluate_at_one_is_kernel():
     f = MultiplicativeFunction.finite_support(5, {2: 3})
     assert f.evaluate(1) == 0
