@@ -9,7 +9,7 @@ universes, and assembles finite-sums witnesses placing a whole
 subset-sum closure inside the kernel and its shift by one.
 """
 
-from .arith import FactorizationSieve, build_sieve, is_prime, valuation
+from .arith import FactorizationSieve, build_sieve, is_prime, prime_flags, valuation
 from .blockseq import (
     DEFAULT_CAP,
     BlockSequence,
@@ -73,7 +73,7 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FactorizationSieve", "build_sieve", "is_prime", "valuation",
+    "FactorizationSieve", "build_sieve", "is_prime", "prime_flags", "valuation",
     "DEFAULT_CAP", "BlockSequence", "DivisibilityReport", "blocks_ending_at",
     "estimated_digits", "generate_block_sequence",
     "nonempty_subsets_in_block_order", "normalize_index_set", "precedes",

@@ -39,6 +39,22 @@ def build_sieve(limit: int) -> FactorizationSieve:
     return FactorizationSieve(limit, spf)
 
 
+def prime_flags(limit: int) -> bytearray:
+    """Byte flags of 0..limit: flags[n] is 1 exactly when n is prime.
+
+    Each prime up to isqrt(limit) strikes its multiples from p*p on with
+    one slice assignment, so the Python loop runs over isqrt(limit) values.
+    """
+    if limit < 0:
+        raise ValueError(f"prime flags need limit >= 0, got {limit}")
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"[: limit + 1]  # 0 and 1 are not prime
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return flags
+
+
 def valuation(n: int, p: int) -> int:
     """Largest e with p**e dividing n; n may be arbitrarily large.
 

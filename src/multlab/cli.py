@@ -305,7 +305,8 @@ def cmd_runs(args, parser: _Parser) -> int:
         "runs": runs,
         "count": len(runs),
     }
-    _emit(args, doc, plain="".join(f"{a}\n" for a in runs))
+    plain = "".join(f"{a}\n" for a in runs) if args.format == "plain" else None
+    _emit(args, doc, plain=plain)
     return EXIT_OK
 
 

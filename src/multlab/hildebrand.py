@@ -29,9 +29,10 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Mapping
 
-from .arith import build_sieve
+from .arith import build_sieve, prime_flags
 from .multfunc import MultiplicativeFunction, assignment_from_pairs, find_runs
 
 SAT = "sat"
@@ -99,7 +100,7 @@ class AvoidanceCertificate:
         if self.B < 1:
             raise ValueError(f"avoidance bound must be >= 1, got {self.B}")
         object.__setattr__(self, "assignment", dict(self.assignment))
-        required = set(build_sieve(self.limit).primes())
+        required = set(compress(range(self.limit + 1), prime_flags(self.limit)))
         missing = sorted(required - set(self.assignment))
         extra = sorted(set(self.assignment) - required)
         if missing:

@@ -13,18 +13,20 @@ Two storage modes:
   valuations at the support primes matter.
 * ``sieve-bounded`` -- every prime up to ``limit`` carries a class (listed
   explicitly or falling back to ``default_class``); evaluation is restricted
-  to 1..limit and runs off a smallest-prime-factor sieve, built on
-  construction when some prime is listed (the keys are checked on it) and
-  otherwise at the first evaluation.
+  to 1..limit.  Nothing is allocated by ``limit``: listed keys are checked
+  on a byte sieve up to the largest of them, a single value is found by
+  trial division, and a table of values up to some bound by byte-slice
+  arithmetic up to that bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Mapping
+from itertools import compress
+from operator import methodcaller, not_
+from typing import Callable, Mapping
 
-from .arith import FactorizationSieve, build_sieve, is_prime, valuation
+from .arith import is_prime, prime_flags, valuation
 
 FINITE_SUPPORT = "finite-support"
 SIEVE_BOUNDED = "sieve-bounded"
@@ -56,12 +58,20 @@ class MultiplicativeFunction:
                 raise ValueError("finite-support mode takes no limit")
             if self.default_class != 0:
                 raise ValueError("finite-support mode forces default class 0")
-        # A sieve-bounded function checks its keys on the sieve it evaluates
-        # with; keys outside 2..limit fail either way and take trial division.
-        spf = self._sieve.spf if self.mode == SIEVE_BOUNDED and self.assignment else None
+        # Sieve-bounded keys in 2..limit are checked on byte flags up to the
+        # largest of them, unless trial division is cheaper: a sieve to top
+        # costs about top byte writes, trial division of the keys about
+        # len * sqrt(top) / 2 interpreted steps, some eight times dearer
+        # each.  Keys outside 2..limit fail either way and take trial division.
+        on_sieve = (
+            [p for p in self.assignment if 2 <= p <= self.limit]
+            if self.mode == SIEVE_BOUNDED
+            else []
+        )
+        top = max(on_sieve, default=1)
+        flags = prime_flags(top) if top <= 16 * len(on_sieve) ** 2 else None
         for p, c in self.assignment.items():
-            on_sieve = spf is not None and 2 <= p <= self.limit
-            if not (spf[p] == p if on_sieve else is_prime(p)):
+            if not (flags[p] if flags is not None and 2 <= p <= top else is_prime(p)):
                 raise ValueError(f"assignment key {p} is not prime")
             if not 0 <= c < self.k:
                 raise ValueError(f"class {c} for prime {p} outside 0..{self.k - 1}")
@@ -82,15 +92,17 @@ class MultiplicativeFunction:
     ) -> "MultiplicativeFunction":
         return cls(k, assignment, mode=SIEVE_BOUNDED, limit=limit, default_class=default_class)
 
-    @cached_property
-    def _sieve(self) -> FactorizationSieve:
-        return build_sieve(self.limit)
-
     def prime_class(self, p: int) -> int:
         return self.assignment.get(p, self.default_class)
 
     def evaluate(self, n: int) -> int:
-        """Class of n: sum of e_p * class(p) mod k over n = prod p^e_p."""
+        """Class of n: sum of e_p * class(p) mod k over n = prod p^e_p.
+
+        A finite-support function takes one valuation per listed prime, so n
+        may be any size; a sieve-bounded one factors n <= limit by trial
+        division, in O(sqrt(n)).  Tables of many values come from
+        ``class_table``.
+        """
         if n < 1:
             raise ValueError(f"evaluate needs n >= 1, got {n}")
         if self.k == 1:
@@ -104,14 +116,17 @@ class MultiplicativeFunction:
         if n > self.limit:
             raise ValueError(f"{n} exceeds evaluable range 1..{self.limit}")
         total = 0
-        spf = self._sieve.spf
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            total += e * self.prime_class(p)
+        p = 2
+        while p * p <= n:
+            if not n % p:
+                e = 0
+                while not n % p:
+                    n //= p
+                    e += 1
+                total += e * self.prime_class(p)
+            p += 1 if p == 2 else 2
+        if n > 1:
+            total += self.prime_class(n)
         return total % self.k
 
 
@@ -178,47 +193,76 @@ def function_from_dict(doc: object) -> MultiplicativeFunction:
         raise ValueError(f"function spec invalid: {exc}") from exc
 
 
-def class_table(f: MultiplicativeFunction, upto: int) -> list[int]:
-    """Classes of 0..upto in one sieve pass (entry 0 is padding).
+def class_table(f: MultiplicativeFunction, upto: int) -> bytearray | list[int]:
+    """Classes of 0..upto (entry 0 is padding): a bytearray for k <= 256,
+    else a list[int].
 
-    For finite-support functions a transient sieve is built, so this is only
-    meant for desk-scale scans; bignum arguments go through ``evaluate``.
+    The table starts at class 0 and every power q = p^j <= upto of a prime
+    of nonzero class c adds c to every multiple of q, with one slice read
+    and one slice write: a byte translation for bytearrays, a map for
+    lists.  The primes are the listed ones when the default class is 0
+    (every finite-support function), else those flagged by a byte sieve to
+    upto.  Nothing is sized by the function's limit.
     """
     if upto < 1:
         raise ValueError(f"class_table needs upto >= 1, got {upto}")
-    if f.mode == SIEVE_BOUNDED:
-        if upto > f.limit:
-            raise ValueError(f"{upto} exceeds evaluable range 1..{f.limit}")
-        sieve = f._sieve
-    else:
-        sieve = build_sieve(max(upto, 2))
+    if f.mode == SIEVE_BOUNDED and upto > f.limit:
+        raise ValueError(f"{upto} exceeds evaluable range 1..{f.limit}")
     k = f.k
-    val = [0] * (upto + 1)
+    val = bytearray(upto + 1) if k <= 256 else [0] * (upto + 1)
     if k == 1:
         return val
-    spf = sieve.spf
-    prime_class = f.assignment.get
     default = f.default_class
-    for n in range(2, upto + 1):
-        p = spf[n]
-        val[n] = (val[n // p] + prime_class(p, default)) % k
+    if default:
+        primes = compress(range(upto + 1), prime_flags(upto))
+    else:
+        primes = (p for p in f.assignment if p <= upto)
+    prime_class = f.assignment.get
+    shifts = {}
+    for p in primes:
+        c = prime_class(p, default)
+        if not c:
+            continue
+        shift = shifts.get(c)
+        if shift is None:
+            shift = shifts[c] = _class_shift(k, c)
+        q = p
+        while q <= upto:
+            val[q::q] = shift(val[q::q])
+            q *= p
     return val
+
+
+def _class_shift(k: int, c: int) -> Callable:
+    """Slice primitive adding class c mod k to every entry of a table slice."""
+    if k <= 256:
+        return methodcaller("translate", bytes(range(c, k)) + bytes(range(c)) + bytes(256 - k))
+    return lambda part: list(map(k.__rmod__, map(c.__add__, part)))
+
+
+# Byte translation sending class 0 to 1 and every other class to 0.
+_KERNEL_FLAG = bytes([1]) + bytes(255)
 
 
 def find_runs(f: MultiplicativeFunction, r: int, bound: int) -> list[int]:
     """All a <= bound with f(a), f(a+1), ..., f(a+r-1) in the kernel.
 
-    Exhaustive increasing scan; needs bound + r - 1 evaluable.
+    The kernel flags of 0..bound + r - 1 become one little-endian int, a
+    byte per integer; ANDing it with itself shifted down by whole bytes
+    leaves a 1 in byte a exactly when a starts a run.  Needs bound + r - 1
+    evaluable.
     """
     if r < 1:
         raise ValueError(f"run length must be >= 1, got {r}")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    vals = class_table(f, bound + r - 1)
-    runs = []
-    length = 0  # kernel values ending at n
-    for n in range(1, bound + r):
-        length = 0 if vals[n] else length + 1
-        if length >= r:
-            runs.append(n - r + 1)
-    return runs
+    upto = bound + r - 1
+    vals = class_table(f, upto)
+    flags = vals.translate(_KERNEL_FLAG) if isinstance(vals, bytearray) else bytes(map(not_, vals))
+    hits = int.from_bytes(flags, "little")
+    covered = 1  # byte a of hits: the kernel holds a..a + covered - 1
+    while covered < r:
+        step = min(covered, r - covered)
+        hits &= hits >> (8 * step)
+        covered += step
+    return list(compress(range(1, bound + 1), hits.to_bytes(upto + 1, "little")[1 : bound + 1]))

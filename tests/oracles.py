@@ -267,3 +267,29 @@ def spf_walk_avoidance(k, r, B, symmetry=False, node_budget=None):
             i -= 1
             backtracks += 1
     return SAT, {p: cls[p] for p in primes}, nodes, backtracks, depth, None
+
+
+def spf_class_table(f, upto):
+    """Classes of 0..upto as a list, one smallest-prime-factor step per n.
+
+    The table engine multlab used before byte-slice arithmetic:
+    val[n] = val[n // spf[n]] + class(spf[n]) mod k, over a sieve to upto.
+    """
+    spf = build_sieve(max(upto, 2)).spf
+    val = [0] * (upto + 1)
+    for n in range(2, upto + 1):
+        p = spf[n]
+        val[n] = (val[n // p] + f.prime_class(p)) % f.k
+    return val
+
+
+def spf_find_runs(f, r, bound):
+    """Run starts from spf_class_table by counting kernel streaks."""
+    vals = spf_class_table(f, bound + r - 1)
+    runs = []
+    length = 0  # kernel values ending at n
+    for n in range(1, bound + r):
+        length = 0 if vals[n] else length + 1
+        if length >= r:
+            runs.append(n - r + 1)
+    return runs

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlab.arith import build_sieve, is_prime, valuation
+from multlab.arith import build_sieve, is_prime, prime_flags, valuation
 
 from oracles import naive_valuation, primes_upto
 
@@ -12,9 +12,19 @@ def test_sieve_primes_match_trial_division():
     assert sieve.primes() == primes_upto(500)
 
 
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 48, 49, 50, 500])
+def test_prime_flags_match_trial_division(limit):
+    flags = prime_flags(limit)
+    assert len(flags) == limit + 1
+    assert [n for n, flag in enumerate(flags) if flag] == primes_upto(limit)
+    assert set(flags) <= {0, 1}
+
+
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         build_sieve(1)
+    with pytest.raises(ValueError):
+        prime_flags(-1)
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.sampled_from([2, 3, 5, 7, 11]))

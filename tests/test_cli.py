@@ -1,15 +1,27 @@
 import json
+import resource
 import subprocess
 import sys
+
+import pytest
+
+from oracles import naive_runs
 
 LIOUVILLE = ["--k", "2", "--mode", "sieve-bounded", "--limit", "31", "--default", "1"]
 
 
-def run(*args):
+def run(*args, memory_cap=None):
+    """(exit code, stdout, stderr) of the CLI; memory_cap (bytes) caps the
+    child's address space, not this process's."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
+
     proc = subprocess.run(
         [sys.executable, "-m", "multlab", *args],
         capture_output=True,
         text=True,
+        preexec_fn=limit_memory if memory_cap else None,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -105,6 +117,16 @@ def test_runs_plain_lists_starting_points():
     )
     assert code == 0
     assert out.split() == ["9", "14", "15", "21", "24", "25"]
+
+
+@pytest.mark.parametrize("listed", [[], ["--primes", "2:1"]])
+def test_runs_allocate_by_bound_not_by_limit(listed):
+    code, out, err = run(
+        "runs", "--r", "2", "--bound", "10", "--k", "2", "--mode", "sieve-bounded",
+        "--limit", "1000000000", "--default", "1", *listed, memory_cap=256 * 2**20,
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["runs"] == naive_runs(2, lambda p: 1, 2, 10)
 
 
 def test_blockseq_terms_and_verification():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from multlab.multfunc import (
     function_to_dict,
 )
 
-from oracles import naive_class, naive_runs
+from oracles import naive_class, naive_runs, primes_upto, spf_class_table, spf_find_runs
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -75,13 +77,22 @@ def test_sieve_bounded_key_errors_keep_their_messages(assignment, message):
         MultiplicativeFunction.sieve_bounded(2, assignment, 10)
 
 
-def test_sieve_bounded_keys_are_checked_on_the_evaluation_sieve():
-    liouville = MultiplicativeFunction.sieve_bounded(2, {}, 10**9, default_class=1)
-    assert "_sieve" not in vars(liouville)
-    f = MultiplicativeFunction.sieve_bounded(3, {2: 1, 7: 2}, 50)
-    sieve = vars(f)["_sieve"]
-    class_table(f, 50)
-    assert vars(f)["_sieve"] is sieve
+def test_key_checks_and_tables_never_allocate_by_limit():
+    # Any table or sieve sized by the 10^7 limit would take 10 MB or more.
+    tracemalloc.start()
+    try:
+        liouville = MultiplicativeFunction.sieve_bounded(2, {}, 10**7, default_class=1)
+        f = MultiplicativeFunction.sieve_bounded(3, {2: 1, 7: 2}, 10**7, default_class=1)
+        lone = MultiplicativeFunction.sieve_bounded(2, {9_999_991: 1}, 10**7)
+        assert find_runs(liouville, 2, 30) == [9, 14, 15, 21, 24, 25]
+        assert list(class_table(f, 50)) == spf_class_table(f, 50)
+        assert class_table(lone, 10) == bytearray(11)
+        assert lone.evaluate(9_999_991) == 1
+        assert f.evaluate(10**7) == naive_class(3, f.prime_class, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_evaluate_at_one_is_kernel():
@@ -121,6 +132,51 @@ def test_sieve_bounded_rejects_out_of_range():
         f.evaluate(31)
     with pytest.raises(ValueError):
         find_runs(f, 2, 30)
+
+
+TABLE_MODULI = [1, 2, 3, 4, 5, 6, 255, 256, 257, 1000]
+
+
+@st.composite
+def table_cases(draw):
+    """(function, limit): finite support or sieve-bounded with either kind of
+    default, and listed primes anywhere up to limit, so often above the
+    bound a table is asked for."""
+    k = draw(st.sampled_from(TABLE_MODULI))
+    limit = draw(st.integers(min_value=4, max_value=300))
+    chosen = draw(st.sets(st.sampled_from(primes_upto(limit))))
+    assignment = {p: draw(st.integers(0, k - 1)) for p in chosen}
+    mode = draw(st.sampled_from(["finite", "zero-default", "default"]))
+    if mode == "finite":
+        return MultiplicativeFunction.finite_support(k, assignment), limit
+    default = draw(st.integers(1, k - 1)) if mode == "default" and k > 1 else 0
+    return MultiplicativeFunction.sieve_bounded(k, assignment, limit, default), limit
+
+
+@given(table_cases(), st.data())
+def test_class_table_matches_spf_oracle(case, data):
+    f, limit = case
+    upto = data.draw(st.one_of(st.just(limit), st.integers(1, limit)))
+    table = class_table(f, upto)
+    assert isinstance(table, bytearray if f.k <= 256 else list)
+    assert list(table) == spf_class_table(f, upto)
+
+
+@given(table_cases(), st.integers(1, 4), st.data())
+def test_find_runs_matches_spf_oracle(case, r, data):
+    f, limit = case
+    edge = limit - r + 1  # the scan reads up to limit exactly
+    bound = data.draw(st.one_of(st.just(edge), st.integers(1, edge)))
+    assert find_runs(f, r, bound) == spf_find_runs(f, r, bound)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [999_983, 999_979, 997**2, 991**2, 2**19, 3**12, 999_983 - 1, 10**6 - 1, 10**6],
+)
+def test_sieve_bounded_evaluates_near_a_large_limit(n):
+    f = MultiplicativeFunction.sieve_bounded(5, {2: 1, 997: 4, 999_983: 2}, 10**6, 3)
+    assert f.evaluate(n) == naive_class(5, f.prime_class, n)
 
 
 @given(sieve_bounded_functions())
