@@ -135,15 +135,45 @@ def _parse_digits(digits: str) -> int:
     return _parse_digits(digits[:-low]) * 10**low + _parse_digits(digits[-low:])
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017).
+# The primes up to 37 alone admit 318665857834031151167461.
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check (intended for small assignment keys)."""
+    """Exact primality of n below PRIME_TEST_BOUND, and of composites above it.
+
+    n is first divided by the primes up to 41, which settles every n below
+    41^2; a larger n then goes through Miller-Rabin with the same primes as
+    bases.  A base that proves n composite settles it at any size, but at
+    or above PRIME_TEST_BOUND a number every base passes may still be
+    composite, and is refused with a ValueError rather than guessed.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:
         return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: the test is exact only below {PRIME_TEST_BOUND}"
+        )
     return True

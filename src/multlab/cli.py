@@ -41,6 +41,7 @@ from .hindman import (
     random_coloring,
     size_parity_coloring,
 )
+from .jsontext import json_chunks
 from .multfunc import (
     FINITE_SUPPORT,
     SIEVE_BOUNDED,
@@ -209,8 +210,14 @@ def _plain_doc(doc: dict) -> str:
 
 
 def _emit(args, doc: dict, plain: str | None = None):
+    """Write doc as indented JSON, or as plain text, to --out or stdout.
+
+    The JSON bytes are those of json.dumps(doc, indent=2) plus a newline,
+    built by json_chunks and joined once; the text is complete before
+    anything is written, so an encoding error writes nothing.
+    """
     if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
+        text = "".join((*json_chunks(doc), "\n"))
     else:
         text = plain if plain is not None else _plain_doc(doc)
     if args.out:

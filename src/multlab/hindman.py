@@ -9,16 +9,17 @@ families; here the universe is finite, so the search can genuinely fail.
 Blocks are scanned in a fixed canonical order, by maximum element and then
 lexicographically, which makes the first family found a deterministic
 function of the coloring.  Inside the search a block is an integer
-bitmask, a union is a bitwise or, and each subset is colored at most once
-(memoized by mask); the node count, and so the meaning of a node budget,
-is that of the plain search over tuples.
+bitmask, a union is a bitwise or, and colors are read by mask: from the
+coloring's table when it has one, else asked once per subset and
+memoized.  The node count, and so the meaning of a node budget, is that
+of the plain search over tuples.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -36,11 +37,18 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SubsetColoring:
-    """Coloring of the nonempty subsets of {1..n} with colors 1..classes."""
+    """Coloring of the nonempty subsets of {1..n} with colors 1..classes.
+
+    color maps a block (a sorted tuple) to its color.  table, when given,
+    holds the same colors by block mask (element i is bit n - i, see
+    _block_masks), already in 1..classes; the search then reads it
+    directly and never calls color_of.
+    """
 
     n: int
     classes: int
     color: Callable[[Block], int]
+    table: Sequence[int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -143,9 +151,11 @@ def monochromatic_fu_search(
     which is exactly the hereditary restriction of the final condition.
     A candidate is checked alone first, then joined to each earlier union
     in turn, and dropped at the first other color.  Blocks and unions are
-    bitmasks (see _block_masks), so a union is one `|`, and each subset is
-    colored through coloring.color_of at most once.  Memory grows with
-    the subsets actually colored, never with 2^n up front.
+    bitmasks (see _block_masks), so a union is one `|`.  A coloring with a
+    table is read from it by mask, and color_of is not called during the
+    search.  Otherwise each subset is colored through coloring.color_of at
+    most once, and memory grows with the subsets actually colored, never
+    with 2^n up front.
 
     Returns None when the finite universe is exhausted; raises
     SearchBudgetExceeded if node_budget candidate blocks were examined
@@ -154,7 +164,7 @@ def monochromatic_fu_search(
     if m < 1:
         raise ValueError(f"family size must be >= 1, got {m}")
     n = coloring.n
-    color = _MaskColors(coloring)
+    color = coloring.table if coloring.table is not None else _MaskColors(coloring)
     limit = math.inf if node_budget is None else node_budget
     nodes = 0
 
@@ -208,6 +218,7 @@ def random_coloring(n: int, classes: int, seed: int) -> SubsetColoring:
 
     The colors are tabulated in a list indexed by block mask, 2^n entries,
     so n is capped at MAX_RANDOM_N and refused before anything is drawn.
+    The list is the coloring's table, which the search reads directly.
     """
     if n > MAX_RANDOM_N:
         raise ValueError(
@@ -221,4 +232,4 @@ def random_coloring(n: int, classes: int, seed: int) -> SubsetColoring:
     for mx in range(1, n + 1):
         for mask in _block_masks(1, mx, n):
             table[mask] = draw(1, classes)
-    return coloring
+    return replace(coloring, table=table)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlab.arith import build_sieve, is_prime, prime_flags, valuation
+from multlab.arith import PRIME_TEST_BOUND, build_sieve, is_prime, prime_flags, valuation
 
 from oracles import naive_valuation, primes_upto
 
@@ -64,6 +64,34 @@ def test_valuation_input_errors():
         valuation(10, 1)
 
 
-@given(st.integers(min_value=-5, max_value=300))
-def test_is_prime_matches_sieve(n):
-    assert is_prime(n) == (n in set(primes_upto(300)))
+def test_is_prime_matches_sieve():
+    flags = prime_flags(10**5)
+    assert not any(map(is_prime, range(-5, 0)))
+    assert [n for n in range(10**5 + 1) if is_prime(n)] == [
+        n for n, flag in enumerate(flags) if flag
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (561, False),  # Carmichael number
+        (3_215_031_751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+        (2**61 - 1, True),
+        ((2**61 - 1) * (2**31 - 1), False),
+        # least strong pseudoprime to every prime base up to 37; base 41 exposes it
+        (318_665_857_834_031_151_167_461, False),
+        (2**100, False),  # composites are decided at any size
+        (3 * (2**89 - 1), False),
+    ],
+)
+def test_is_prime_on_pseudoprimes_and_large_numbers(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_what_it_cannot_decide():
+    # 2^89 - 1 is prime and PRIME_TEST_BOUND the least strong pseudoprime
+    # to every base used: above the bound neither can be told from the other.
+    for n in (2**89 - 1, PRIME_TEST_BOUND):
+        with pytest.raises(ValueError, match="exact only below"):
+            is_prime(n)

@@ -1,9 +1,13 @@
+import argparse
 import json
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
+
+from multlab import cli
 
 from oracles import naive_runs
 
@@ -127,6 +131,44 @@ def test_runs_allocate_by_bound_not_by_limit(listed):
     )
     assert (code, err) == (0, "")
     assert json.loads(out)["runs"] == naive_runs(2, lambda p: 1, 2, 10)
+
+
+def test_runs_json_is_json_dumps_with_indent_2():
+    code, out, err = run(
+        "runs", "--bound", "100000", "--k", "2", "--mode", "sieve-bounded",
+        "--limit", "100001", "--default", "1",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] > 20_000
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_key_past_the_primality_test_exits_one_at_once(capsys):
+    # Trial division took 35 s on the first key, a prime above the limit,
+    # and would not finish on the second, a prime too large to test.
+    for key, message in (
+        (10**18 + 3, f"assigned prime {10**18 + 3} exceeds limit 100"),
+        (2**89 - 1, f"assignment key {2**89 - 1} is too large to test for primality"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "runs", "--k", "2", "--mode", "sieve-bounded", "--limit", "100",
+                "--primes", f"{key}:1", "--bound", "10",
+            ])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+
+def test_emit_writes_nothing_when_encoding_fails(capsys, tmp_path):
+    doc = {"runs": list(range(10)), "bad": [1, object()]}
+    out = tmp_path / "out.json"
+    for target in (None, str(out)):
+        with pytest.raises(TypeError):
+            cli._emit(argparse.Namespace(format="json", out=target), doc)
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 def test_blockseq_terms_and_verification():

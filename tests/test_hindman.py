@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from collections import Counter
@@ -11,6 +12,7 @@ from multlab.hindman import (
     BlockFamily,
     SearchBudgetExceeded,
     SubsetColoring,
+    _block_of,
     fu_closure,
     max_parity_coloring,
     monochromatic_fu_search,
@@ -152,6 +154,26 @@ def test_random_coloring_draws_in_block_order(n, classes, seed):
     table = seeded_table(n, classes, seed)
     coloring = random_coloring(n, classes, seed)
     assert all(coloring.color_of(block) == c for block, c in table.items())
+
+
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 4), st.integers(0, 10**6))
+def test_table_path_matches_tuple_engine_and_its_node_count(n, classes, m, seed):
+    coloring = random_coloring(n, classes, seed)
+    table = coloring.table
+    assert len(table) == 1 << n
+    for mask in range(1, 1 << n):
+        assert 1 <= table[mask] <= classes
+        assert table[mask] == coloring.color_of(_block_of(mask, n))
+    expected, nodes = naive_fu_search(coloring.color_of, n, m)
+
+    def no_calls(block):
+        raise AssertionError("a table coloring is read by mask during the search")
+
+    table_only = dataclasses.replace(coloring, color=no_calls)
+    family = monochromatic_fu_search(table_only, m, node_budget=nodes)
+    assert (family.blocks if family else None) == expected
+    with pytest.raises(SearchBudgetExceeded):
+        monochromatic_fu_search(table_only, m, node_budget=nodes - 1)
 
 
 @pytest.mark.parametrize("seed,m", [(0, 4), (0, 5), (41, 4), (3, 3)])

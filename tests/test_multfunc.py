@@ -77,6 +77,18 @@ def test_sieve_bounded_key_errors_keep_their_messages(assignment, message):
         MultiplicativeFunction.sieve_bounded(2, assignment, 10)
 
 
+@pytest.mark.parametrize("mode_args", [{}, {"mode": SIEVE_BOUNDED, "limit": 100}])
+def test_keys_past_the_primality_test_are_refused(mode_args):
+    key = 2**89 - 1  # prime, but above PRIME_TEST_BOUND
+    with pytest.raises(ValueError, match=f"^assignment key {key} is too large to test"):
+        MultiplicativeFunction(2, {key: 1}, **mode_args)
+    # earlier keys still fail first, and composites keep their message
+    with pytest.raises(ValueError, match="^assignment key 9 is not prime$"):
+        MultiplicativeFunction(2, {9: 1, key: 1}, **mode_args)
+    with pytest.raises(ValueError, match=f"^assignment key {2**100} is not prime$"):
+        MultiplicativeFunction(2, {2**100: 1}, **mode_args)
+
+
 def test_key_checks_and_tables_never_allocate_by_limit():
     # Any table or sieve sized by the 10^7 limit would take 10 MB or more.
     tracemalloc.start()
