@@ -14,10 +14,8 @@ from .blockseq import (
     DEFAULT_CAP,
     BlockSequence,
     DivisibilityReport,
-    blocks_ending_at,
     estimated_digits,
     generate_block_sequence,
-    nonempty_subsets_in_block_order,
     normalize_index_set,
     precedes,
     subset_sum,
@@ -74,10 +72,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FactorizationSieve", "build_sieve", "is_prime", "prime_flags", "valuation",
-    "DEFAULT_CAP", "BlockSequence", "DivisibilityReport", "blocks_ending_at",
-    "estimated_digits", "generate_block_sequence",
-    "nonempty_subsets_in_block_order", "normalize_index_set", "precedes",
-    "subset_sum", "verify_block_divisibility",
+    "DEFAULT_CAP", "BlockSequence", "DivisibilityReport", "estimated_digits",
+    "generate_block_sequence", "normalize_index_set", "precedes", "subset_sum",
+    "verify_block_divisibility",
     "FOUND", "SAT", "UNKNOWN", "UNSAT", "AvoidanceCertificate",
     "ConstantResult", "SearchOptions", "SearchOutcome", "SearchStats",
     "avoidance_search", "certificate_from_dict", "certificate_to_dict",

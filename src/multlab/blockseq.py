@@ -7,7 +7,8 @@ The generated sequence starts s_0 = 1 and satisfies
 where s_A denotes the sum of the terms indexed by A.  Every s_A with
 max(A) <= n divides s_{n+1}, so whenever A precedes B (max A < min B) the
 sum s_B is a sum of multiples of s_A and s_A | s_B.  Growth is doubly
-exponential, hence the hard generation cap.
+exponential, hence the generation cap and the digit limit on every term
+built.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 8
+
+# Most decimal digits of a term built here, and of a decimal string a
+# witness document may hold.  s_7 has 710 086 digits; s_8 would have about
+# 8.7 * 10^7, and parsing 10^6 digits takes about a second.
+MAX_DECIMAL_DIGITS = 1_000_000
 
 # Decimal digit counts of s_0..s_5; later terms multiply digits by ~2^n.
 _DIGIT_TABLE = [1, 1, 1, 3, 20, 332]
@@ -137,24 +143,71 @@ def estimated_digits(n: int) -> int:
     return _DIGIT_TABLE[5] * 2 ** (n * (n - 1) // 2 - 10)
 
 
-def generate_block_sequence(n: int, cap: int = DEFAULT_CAP) -> BlockSequence:
-    """Terms s_0..s_n of the product-over-blocks recurrence.
+def _digits_text(n: int) -> str:
+    """estimated_digits(n) for messages; past n = 11 as a power of two, so
+    refusing a huge n never forms the estimate itself."""
+    if n <= 11:
+        return str(estimated_digits(n))
+    return f"{_DIGIT_TABLE[5]} * 2^{n * (n - 1) // 2 - 10}"
 
-    Refuses n > cap: s_n has about estimated_digits(n) decimal digits and
-    the growth is doubly exponential.
+
+# Last index whose term fits the digit limit: s_7 (710 086 digits).
+_LAST_TERM = max(n for n in range(12) if estimated_digits(n) <= MAX_DECIMAL_DIGITS)
+
+
+def check_term_size(n: int) -> None:
+    """Refuse s_n, before any product is formed, past MAX_DECIMAL_DIGITS digits."""
+    if n > _LAST_TERM:
+        raise ValueError(
+            f"refusing s_{n}: it would have roughly {_digits_text(n)} decimal digits, "
+            f"over the cap of {MAX_DECIMAL_DIGITS} decimal digits"
+        )
+
+
+def _next_term(terms: Sequence[int]) -> int:
+    """s_n for n = len(terms): the product of every nonempty subset sum."""
+    return _balanced_product(_all_subset_sums(terms)[1:])
+
+
+def block_sequence_head(n: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+    """s_0..s_{n-1}, the terms that determine s_n, without s_n itself.
+
+    s_n is the product of the sums s_B over nonempty B within {0..n-1}, so
+    a caller that needs only residues of s_n (see top_term_residue) never
+    pays for it.  Refuses n > cap, and checks s_{n-1} against the digit
+    limit before building anything.
     """
     if n < 0:
         raise ValueError(f"term count index must be >= 0, got {n}")
     if n > cap:
         raise ValueError(
             f"refusing n = {n} > cap = {cap}: s_{n} would have roughly "
-            f"{estimated_digits(n)} decimal digits"
+            f"{_digits_text(n)} decimal digits"
         )
-    terms = [1]
-    for m in range(n):
-        sums = _all_subset_sums(terms)
-        terms.append(_balanced_product(sums[1:]))
-    return BlockSequence(tuple(terms))
+    check_term_size(n - 1)
+    terms: tuple[int, ...] = ()
+    for _ in range(n):
+        terms += (_next_term(terms),)
+    return terms
+
+
+def top_term_residue(terms: Sequence[int], q: int) -> int:
+    """s_n mod q for n = len(terms), from the terms reduced mod q."""
+    top = 1
+    for factor in _all_subset_sums([t % q for t in terms])[1:]:
+        top = top * factor % q
+    return top
+
+
+def generate_block_sequence(n: int, cap: int = DEFAULT_CAP) -> BlockSequence:
+    """Terms s_0..s_n of the product-over-blocks recurrence.
+
+    Refuses n > cap, and any s_n past MAX_DECIMAL_DIGITS decimal digits
+    (s_8 has about 8.7 * 10^7), before any product is formed.
+    """
+    check_term_size(n)
+    terms = block_sequence_head(n, cap)
+    return BlockSequence(terms + (_next_term(terms),))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,12 @@ import json
 import sys
 
 from .arith import int_to_decimal
-from .blockseq import DEFAULT_CAP, generate_block_sequence, verify_block_divisibility
+from .blockseq import (
+    DEFAULT_CAP,
+    block_sequence_head,
+    generate_block_sequence,
+    verify_block_divisibility,
+)
 from .hildebrand import (
     FOUND,
     SAT,
@@ -361,8 +366,7 @@ def cmd_hindman(args, parser: _Parser) -> int:
             f = _function_from_args(args, parser)
             if f.mode != FINITE_SUPPORT:
                 parser.error("--coloring function needs a finite-support function")
-            seq = generate_block_sequence(args.n, cap=args.cap)
-            coloring = block_sum_coloring(f, seq)
+            coloring = block_sum_coloring(f, block_sequence_head(args.n, cap=args.cap))
     except ValueError as exc:
         parser.error(str(exc))
     status, reason, family = NOT_FOUND, None, None

@@ -17,6 +17,8 @@ _FLAT_SLICE = 4096
 # Int lists up to this length are joined directly: cheaper than an encoder.
 _SHORT_INTS = 64
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+_INTS = frozenset({int})
+_ROWS = frozenset({list, tuple})
 
 
 def json_chunks(value, indent: str = ""):
@@ -25,7 +27,9 @@ def json_chunks(value, indent: str = ""):
     A non-empty list of scalars is encoded slice by slice by json's C
     encoder, with the indented item separator as its separator, or, if it
     is a short list of exact ints, by one join of their reprs (bools print
-    as true/false, so they do not qualify).  Other containers recurse;
+    as true/false, so they do not qualify).  A list of exact-int lists,
+    such as [prime, class] pairs, is written in one pass.  Other
+    containers recurse;
     keys and other values go to json.dumps.  indent is the indentation of
     the line the value ends on.
     """
@@ -48,7 +52,9 @@ def json_chunks(value, indent: str = ""):
         sep = ",\n" + inner
         yield "[\n" + inner
         types = set(map(type, value))
-        if not _SCALARS.issuperset(types):
+        if _ROWS.issuperset(types) and (rows := _int_rows(value, inner)) is not None:
+            yield rows
+        elif not _SCALARS.issuperset(types):
             for i, item in enumerate(value):
                 if i:
                     yield sep
@@ -63,3 +69,17 @@ def json_chunks(value, indent: str = ""):
         yield "\n" + indent + "]"
     else:
         yield json.dumps(value)
+
+
+def _int_rows(rows, indent: str) -> str | None:
+    """The items of a list of exact-int lists, as json_chunks writes them
+    at indent, or None if some item is not such a list."""
+    deeper = indent + "  "
+    sep = ",\n" + deeper
+    head, tail = "[\n" + deeper, "\n" + indent + "]"
+    out = []
+    for row in rows:
+        if not _INTS.issuperset(map(type, row)):
+            return None
+        out.append(head + sep.join(map(int.__repr__, row)) + tail if row else "[]")
+    return (",\n" + indent).join(out)

@@ -21,8 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import decimal_to_int, int_to_decimal
-from .blockseq import DEFAULT_CAP, BlockSequence, generate_block_sequence, subset_sum
+from .arith import decimal_to_int, int_to_decimal, valuation
+from .blockseq import (
+    DEFAULT_CAP,
+    MAX_DECIMAL_DIGITS,
+    block_sequence_head,
+    generate_block_sequence,
+    top_term_residue,
+)
 from .hindman import (
     BlockFamily,
     SearchBudgetExceeded,
@@ -40,11 +46,6 @@ from .multfunc import (
 
 PROOF_PIPELINE = "proof-pipeline"
 DIRECT_SEARCH = "direct-search"
-
-# Longest decimal string a witness document may hold.  s_7, the largest
-# block-sequence term generated in seconds, has 710 086 digits; parsing
-# 10^6 digits takes about a second.
-MAX_DECIMAL_DIGITS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -105,16 +106,45 @@ def verify_witness(witness: IPWitness) -> bool:
     return first_violation(witness) is None
 
 
-def block_sum_coloring(f: MultiplicativeFunction, seq: BlockSequence) -> SubsetColoring:
-    """Color each block A of {1..n} by 1 + the class of its term sum s_A, cached."""
-    cache: dict[tuple[int, ...], int] = {}
+def block_sum_coloring(f: MultiplicativeFunction, terms: tuple[int, ...]) -> SubsetColoring:
+    """Color each block A of {1..n} by 1 + the class of its term sum s_A.
+
+    terms are s_0..s_{n-1}, as block_sequence_head returns them, and s_n is
+    never formed.  A block without n is colored from its sum.  A block
+    with n has s_A = r + s_n, r the sum over A minus n, and v_p(s_A) is
+    read from the window x = (r + s_n mod p^w) mod p^w, with w doubled
+    from 64 until x is nonzero: p^w divides s_A - x, so v_p(s_A) = v_p(x).
+    s_n mod p^w is computed once per (p, w).  Needs a finite-support
+    function.
+    """
+    if f.mode != FINITE_SUPPORT:
+        raise ValueError(f"block sums need a finite-support function, got mode {f.mode!r}")
+    n = len(terms)
+    support = [(p, c) for p, c in f.assignment.items() if c]
+    windows: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def window(p: int, w: int) -> tuple[int, int]:
+        if (p, w) not in windows:
+            q = p**w
+            windows[p, w] = q, top_term_residue(terms, q)
+        return windows[p, w]
 
     def color(block: tuple[int, ...]) -> int:
-        if block not in cache:
-            cache[block] = 1 + f.evaluate(subset_sum(seq, block))
-        return cache[block]
+        if block[-1] < n:
+            return 1 + f.evaluate(sum(map(terms.__getitem__, block)))
+        r = sum(map(terms.__getitem__, block[:-1]))
+        total = 0
+        for p, c in support:
+            w = 64
+            while True:
+                q, top = window(p, w)
+                if x := (r + top) % q:
+                    break
+                w <<= 1
+            total += valuation(x, p) * c
+        return 1 + total % f.k
 
-    return SubsetColoring(seq.n, f.k, color)
+    return SubsetColoring(n, f.k, color)
 
 
 def ip_witness_direct(
@@ -182,6 +212,12 @@ def ip_witness_from_proof(
     every generator subset sum s to satisfy f(s) = f(s + 1) = class 0:
     s and s + 1 are quotients by b_1 of two closure sums.
 
+    Blocks are colored from s_0..s_{n_prefix - 1} and residues of
+    s_{n_prefix} (see block_sum_coloring); s_{n_prefix} itself is
+    built only when the family found uses block n_prefix, and is then
+    refused past MAX_DECIMAL_DIGITS digits.  The divisibility and closure
+    checks run on the real sums.
+
     Needs a finite-support function: the block sums are far too large for
     any sieve.  Returns None when the finite prefix admits no family;
     raises SearchBudgetExceeded when the block search runs out of nodes.
@@ -192,13 +228,13 @@ def ip_witness_from_proof(
         raise ValueError(f"pipeline needs m >= 2 blocks (m - 1 generators), got {m}")
     if n_prefix < 1:
         raise ValueError(f"prefix length must be >= 1, got {n_prefix}")
-    seq = generate_block_sequence(n_prefix, cap=cap)
-    family = monochromatic_fu_search(
-        block_sum_coloring(f, seq), m, node_budget=node_budget
-    )
+    terms = block_sequence_head(n_prefix, cap=cap)
+    family = monochromatic_fu_search(block_sum_coloring(f, terms), m, node_budget=node_budget)
     if family is None:
         return None
-    sums = [subset_sum(seq, block) for block in family.blocks]
+    if family.blocks[-1][-1] == n_prefix:
+        terms = generate_block_sequence(n_prefix, cap=cap).terms
+    sums = [sum(map(terms.__getitem__, block)) for block in family.blocks]
     b1 = sums[0]
     for block, b in zip(family.blocks, sums):
         if b % b1:
@@ -207,7 +243,7 @@ def ip_witness_from_proof(
             )
     base = f.evaluate(b1)
     for union in fu_closure(family):
-        if f.evaluate(subset_sum(seq, union)) != base:
+        if f.evaluate(sum(map(terms.__getitem__, union))) != base:
             raise RuntimeError(f"class not constant on the union closure at {union}")
     witness = IPWitness(
         f,

@@ -8,10 +8,15 @@ against these.
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 from itertools import combinations, product
 
 from multlab.arith import build_sieve
-from multlab.blockseq import nonempty_subsets_in_block_order
+from multlab.blockseq import (
+    generate_block_sequence,
+    nonempty_subsets_in_block_order,
+    subset_sum,
+)
 from multlab.hildebrand import FOUND, SAT, UNKNOWN, UNSAT, avoidance_search
 
 
@@ -132,6 +137,16 @@ def naive_fu_search(color, n, m):
 
     family = extend([], [], 0, 1)
     return family, nodes
+
+
+@lru_cache(maxsize=None)
+def _sequence(n):
+    return generate_block_sequence(n)
+
+
+def eager_block_sum_color(f, n):
+    """Color of a block A of {1..n}: 1 + f(s_A), s_n and all, materialized."""
+    return lambda block: 1 + f.evaluate(subset_sum(_sequence(n), block))
 
 
 def powerset_sums(generators):

@@ -6,14 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multlab.blockseq import (
+    MAX_DECIMAL_DIGITS,
     BlockSequence,
+    block_sequence_head,
     blocks_ending_at,
+    check_term_size,
     estimated_digits,
     generate_block_sequence,
     nonempty_subsets_in_block_order,
     normalize_index_set,
     precedes,
     subset_sum,
+    top_term_residue,
     verify_block_divisibility,
 )
 
@@ -50,6 +54,30 @@ def test_generation_cap_mentions_digits():
     generate_block_sequence(3, cap=3)
     with pytest.raises(ValueError):
         generate_block_sequence(4, cap=3)
+
+
+def test_terms_past_the_digit_limit_are_refused_before_any_product():
+    assert estimated_digits(7) <= MAX_DECIMAL_DIGITS < estimated_digits(8)
+    check_term_size(7)
+    with pytest.raises(ValueError, match="roughly 87031808 decimal digits, over the cap"):
+        check_term_size(8)
+    # the default cap of 8 admits s_8, the digit limit does not
+    with pytest.raises(ValueError, match="refusing s_8"):
+        generate_block_sequence(8)
+    with pytest.raises(ValueError, match="refusing s_8"):
+        block_sequence_head(9, cap=9)
+    # a huge index is refused without forming its digit estimate
+    with pytest.raises(ValueError, match=r"refusing s_1000000: .* roughly 332 \* 2\^"):
+        generate_block_sequence(10**6)
+    with pytest.raises(ValueError, match=r"cap = 8: s_1000000 would have roughly 332 \* 2\^"):
+        block_sequence_head(10**6)
+
+
+@given(st.integers(0, 6), st.integers(2, 2**80))
+def test_head_and_top_residue_agree_with_the_sequence(n, q):
+    terms = generate_block_sequence(n).terms
+    assert block_sequence_head(n) == terms[:-1]
+    assert top_term_residue(terms[:-1], q) == terms[-1] % q
 
 
 def test_sequence_validation():

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import resource
 import subprocess
@@ -193,6 +194,52 @@ def test_blockseq_cap_refusal_is_usage_error():
     code, out, err = run("blockseq", "--n", "40")
     assert code == 1
     assert "cap" in err
+
+
+def test_blockseq_refuses_s8_at_once(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["blockseq", "--n", "8"])
+    assert exc.value.code == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "refusing s_8: it would have roughly 87031808 decimal digits" in err
+    assert "Traceback" not in err
+
+
+def test_hindman_function_coloring_at_n8_builds_only_the_head():
+    # s_8 is past the digit cap; the family lies within {1..6}
+    code, doc = run_json(
+        "hindman", "--coloring", "function", "--k", "4", "--primes", "2:1,3:2,5:3",
+        "--n", "8", "--m", "4",
+    )
+    assert code == 0
+    assert doc["blocks"] == [[1, 2], [4], [5], [6]]
+
+
+# sha256 of stdout, recorded from the implementation that colored every
+# block from the materialized s_n; the last two families use block n.
+PIPELINE_OUTPUTS = [
+    (["witness", "--method", "proof", "--k", "4", "--primes", "2:1,3:2,5:3", "--m", "4",
+      "--n-prefix", "7", "--deterministic"],
+     "61ba4a80cb59203e9bbf7ad590816021ba11df02ceebd51e8b3a999a775a5517"),
+    (["hindman", "--coloring", "function", "--k", "4", "--primes", "2:1,3:2,5:3",
+      "--n", "7", "--m", "4"],
+     "8948d967640bb4dde095c26cf578af5ae164851c17f86706d13400de39c077ba"),
+    (["witness", "--method", "proof", "--k", "3", "--primes", "2:1,3:2,5:1", "--m", "3",
+      "--n-prefix", "4", "--deterministic"],
+     "9d589f98ec83719b7c6c2bbae379b93217a8d627318761a9c7c32bf58a399e05"),
+    (["hindman", "--coloring", "function", "--k", "4", "--primes", "2:0,3:1,5:1",
+      "--n", "5", "--m", "3"],
+     "c4ff9c9dafecffa0d2c9833b3064018ef893c70420910e28f1d28c4e192f2359"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PIPELINE_OUTPUTS)
+def test_pipeline_output_bytes_are_unchanged(args, digest):
+    code, out, err = run(*args)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_hindman_exit_codes():

@@ -41,3 +41,33 @@ def test_int_lists_at_the_short_and_slice_lengths():
     for length in (64, 65, 4095, 4096, 4097, 8193):
         doc = {"runs": list(range(-5, length - 5)), "tail": [[1], []]}
         assert "".join(jsontext.json_chunks(doc)) == json.dumps(doc, indent=2)
+
+
+def test_lists_of_int_rows():
+    # [prime, class] pairs and their edge cases: empty rows, bools (which
+    # print as true/false and so leave the one-pass path), long rows,
+    # tuples, big and negative ints, and rows next to items that are not
+    # int lists.
+    cases = [
+        [[2, 1], [3, 0], [5, 2]],
+        [[], [2, 1], []],
+        [[]],
+        [[2, True], [3, 0]],
+        [[False], []],
+        [list(range(5000)), [1]],
+        [(2, 1), [3, -4], (2**70, -(2**70))],
+        [[2, 1], "x"],
+        [[2, 1], [2.5]],
+        [[2, 1], None],
+        [[2, 1], [[3]]],
+    ]
+    for rows in cases:
+        for doc in (rows, {"assignment": rows}, [{"assignment": rows}]):
+            assert "".join(jsontext.json_chunks(doc)) == json.dumps(doc, indent=2)
+
+
+def test_int_rows_are_written_in_one_piece():
+    doc = {"assignment": [[p, p % 3] for p in (2, 3, 5, 7, 11)]}
+    chunks = list(jsontext.json_chunks(doc))
+    assert len(chunks) == 5
+    assert "".join(chunks) == json.dumps(doc, indent=2)

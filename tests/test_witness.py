@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multlab.blockseq import generate_block_sequence, subset_sum
+from multlab import blockseq, witness
+from multlab.blockseq import block_sequence_head, generate_block_sequence, subset_sum
 from multlab.hindman import SearchBudgetExceeded
 from multlab.multfunc import MultiplicativeFunction
 from multlab.witness import (
@@ -10,6 +11,7 @@ from multlab.witness import (
     PROOF_PIPELINE,
     MAX_DECIMAL_DIGITS,
     IPWitness,
+    block_sum_coloring,
     fs_closure,
     ip_witness_direct,
     ip_witness_from_proof,
@@ -18,7 +20,7 @@ from multlab.witness import (
     witness_to_dict,
 )
 
-from oracles import brute_force_family, powerset_sums
+from oracles import all_blocks, brute_force_family, eager_block_sum_color, powerset_sums
 
 
 def liouville_prefix(limit=31):
@@ -222,3 +224,82 @@ def test_witness_from_dict_diagnostics():
     bad = dict(doc, b1="12x")
     with pytest.raises(ValueError, match="b1"):
         witness_from_dict(bad)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_block_sum_coloring_matches_the_materialized_sequence(n, k, data):
+    assignment = {
+        p: data.draw(st.integers(0, k - 1), label=f"class of {p}")
+        for p in (2, 3, 5, 7)
+    }
+    f = MultiplicativeFunction.finite_support(k, assignment)
+    coloring = block_sum_coloring(f, block_sequence_head(n))
+    oracle = eager_block_sum_color(f, n)
+    assert coloring.n == n and coloring.classes == k
+    for block in all_blocks(n):
+        assert coloring.color_of(block) == oracle(block)
+
+
+def test_block_sum_coloring_needs_a_finite_support_function():
+    with pytest.raises(ValueError, match="finite-support"):
+        block_sum_coloring(liouville_prefix(), block_sequence_head(3))
+
+
+def record_products(monkeypatch):
+    """Factor counts of every product blockseq forms, and the calls to
+    generate_block_sequence made from witness."""
+    factors, generated = [], []
+    product = blockseq._balanced_product
+    generate = witness.generate_block_sequence
+
+    def counting_product(values):
+        factors.append(len(values))
+        return product(values)
+
+    def counting_generate(n, **kwargs):
+        generated.append(n)
+        return generate(n, **kwargs)
+
+    monkeypatch.setattr(blockseq, "_balanced_product", counting_product)
+    monkeypatch.setattr(witness, "generate_block_sequence", counting_generate)
+    return factors, generated
+
+
+@pytest.mark.parametrize("k, assignment, blocks, bits", [
+    (2, {2: 1, 3: 1, 5: 1}, ((1,), (4,), (5,), (6,)), [65, 1100, 36291]),
+    (4, {2: 1, 3: 2, 5: 3}, ((1, 2), (4,), (5,), (6,)), [64, 1099, 36289]),
+])
+def test_pipeline_at_prefix_seven_never_builds_s7(monkeypatch, k, assignment, blocks, bits):
+    factors, generated = record_products(monkeypatch)
+    f = MultiplicativeFunction.finite_support(k, assignment)
+    w = ip_witness_from_proof(f, 4, 7)
+    # s_6 is the product of 63 sums; s_7 would be one of 127.
+    assert max(factors) == 63 and generated == []
+    assert w.blocks == blocks
+    assert [g.bit_length() for g in w.generators] == bits
+    seq = generate_block_sequence(6)
+    sums = [subset_sum(seq, block) for block in blocks]
+    assert w.b1 == sums[0]
+    assert w.generators == tuple(s // sums[0] for s in sums[1:])
+
+
+def test_pipeline_builds_s_n_when_the_family_uses_block_n(monkeypatch):
+    factors, generated = record_products(monkeypatch)
+    f = MultiplicativeFunction.finite_support(3, {2: 1, 3: 2, 5: 1})
+    w = ip_witness_from_proof(f, 3, 4)
+    assert generated == [4] and max(factors) == 15
+    assert w.blocks == brute_force_family(eager_block_sum_color(f, 4), 4, 3)
+    assert w.blocks == ((1, 2), (3,), (4,))
+    seq = generate_block_sequence(4)
+    sums = [subset_sum(seq, block) for block in w.blocks]
+    assert (w.b1, w.generators) == (sums[0], tuple(s // sums[0] for s in sums[1:]))
+    assert verify_witness(w)
+
+
+def test_pipeline_refuses_s8_only_when_the_family_needs_it():
+    # Under one class every block has the same color, so the first family
+    # of 8 blocks is {1}, ..., {8}: it needs s_8, past the digit limit.
+    f = MultiplicativeFunction.finite_support(1, {})
+    with pytest.raises(ValueError, match="refusing s_8"):
+        ip_witness_from_proof(f, 8, 8)
