@@ -11,7 +11,6 @@ subset-sum closure inside the kernel and its shift by one.
 
 from .arith import FactorizationSieve, build_sieve, is_prime, prime_flags, valuation
 from .blockseq import (
-    DEFAULT_CAP,
     BlockSequence,
     DivisibilityReport,
     estimated_digits,
@@ -72,7 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FactorizationSieve", "build_sieve", "is_prime", "prime_flags", "valuation",
-    "DEFAULT_CAP", "BlockSequence", "DivisibilityReport", "estimated_digits",
+    "BlockSequence", "DivisibilityReport", "estimated_digits",
     "generate_block_sequence", "normalize_index_set", "precedes", "subset_sum",
     "verify_block_divisibility",
     "FOUND", "SAT", "UNKNOWN", "UNSAT", "AvoidanceCertificate",

@@ -7,8 +7,7 @@ The generated sequence starts s_0 = 1 and satisfies
 where s_A denotes the sum of the terms indexed by A.  Every s_A with
 max(A) <= n divides s_{n+1}, so whenever A precedes B (max A < min B) the
 sum s_B is a sum of multiples of s_A and s_A | s_B.  Growth is doubly
-exponential, hence the generation cap and the digit limit on every term
-built.
+exponential, hence the digit limit on every term built.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from dataclasses import dataclass
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
-DEFAULT_CAP = 8
-
 # Most decimal digits of a term built here, and of a decimal string a
 # witness document may hold.  s_7 has 710 086 digits; s_8 would have about
 # 8.7 * 10^7, and parsing 10^6 digits takes about a second.
@@ -26,6 +23,9 @@ MAX_DECIMAL_DIGITS = 1_000_000
 
 # Decimal digit counts of s_0..s_5; later terms multiply digits by ~2^n.
 _DIGIT_TABLE = [1, 1, 1, 3, 20, 332]
+
+# Last index whose digit estimate is formed as a number (n = 10^6 would take ~62 GB).
+_LAST_ESTIMATE = 11
 
 
 def normalize_index_set(indices: Iterable[int]) -> tuple[int, ...]:
@@ -135,9 +135,11 @@ def _balanced_product(values: Sequence[int]) -> int:
 
 
 def estimated_digits(n: int) -> int:
-    """Rough decimal digit count of s_n (exact for n <= 5)."""
+    """Rough decimal digit count of s_n (exact for n <= 5), for n <= 11."""
     if n < 0:
         raise ValueError(f"term index must be >= 0, got {n}")
+    if n > _LAST_ESTIMATE:
+        raise ValueError(f"digit estimates stop at s_{_LAST_ESTIMATE}, got n = {n}")
     if n < len(_DIGIT_TABLE):
         return _DIGIT_TABLE[n]
     return _DIGIT_TABLE[5] * 2 ** (n * (n - 1) // 2 - 10)
@@ -146,13 +148,15 @@ def estimated_digits(n: int) -> int:
 def _digits_text(n: int) -> str:
     """estimated_digits(n) for messages; past n = 11 as a power of two, so
     refusing a huge n never forms the estimate itself."""
-    if n <= 11:
+    if n <= _LAST_ESTIMATE:
         return str(estimated_digits(n))
     return f"{_DIGIT_TABLE[5]} * 2^{n * (n - 1) // 2 - 10}"
 
 
 # Last index whose term fits the digit limit: s_7 (710 086 digits).
-_LAST_TERM = max(n for n in range(12) if estimated_digits(n) <= MAX_DECIMAL_DIGITS)
+_LAST_TERM = max(
+    n for n in range(_LAST_ESTIMATE + 1) if estimated_digits(n) <= MAX_DECIMAL_DIGITS
+)
 
 
 def check_term_size(n: int) -> None:
@@ -169,21 +173,16 @@ def _next_term(terms: Sequence[int]) -> int:
     return _balanced_product(_all_subset_sums(terms)[1:])
 
 
-def block_sequence_head(n: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+def block_sequence_head(n: int) -> tuple[int, ...]:
     """s_0..s_{n-1}, the terms that determine s_n, without s_n itself.
 
     s_n is the product of the sums s_B over nonempty B within {0..n-1}, so
     a caller that needs only residues of s_n (see top_term_residue) never
-    pays for it.  Refuses n > cap, and checks s_{n-1} against the digit
-    limit before building anything.
+    pays for it.  Checks s_{n-1} against the digit limit before building
+    anything.
     """
     if n < 0:
         raise ValueError(f"term count index must be >= 0, got {n}")
-    if n > cap:
-        raise ValueError(
-            f"refusing n = {n} > cap = {cap}: s_{n} would have roughly "
-            f"{_digits_text(n)} decimal digits"
-        )
     check_term_size(n - 1)
     terms: tuple[int, ...] = ()
     for _ in range(n):
@@ -199,14 +198,14 @@ def top_term_residue(terms: Sequence[int], q: int) -> int:
     return top
 
 
-def generate_block_sequence(n: int, cap: int = DEFAULT_CAP) -> BlockSequence:
+def generate_block_sequence(n: int) -> BlockSequence:
     """Terms s_0..s_n of the product-over-blocks recurrence.
 
-    Refuses n > cap, and any s_n past MAX_DECIMAL_DIGITS decimal digits
-    (s_8 has about 8.7 * 10^7), before any product is formed.
+    Refuses any s_n past MAX_DECIMAL_DIGITS decimal digits (s_8 has about
+    8.7 * 10^7) before any product is formed.
     """
     check_term_size(n)
-    terms = block_sequence_head(n, cap)
+    terms = block_sequence_head(n)
     return BlockSequence(terms + (_next_term(terms),))
 
 

@@ -10,9 +10,8 @@ failed verifications; 2 when a search found nothing or ran out of budget;
 1 for usage and input validation errors.
 
 Results are JSON documents with a fixed key order.  Searches run
-sequentially; --threads is accepted for interface uniformity.  Under
---deterministic the output carries no wall-clock or thread information,
-so identical invocations produce identical bytes.
+sequentially.  Under --deterministic the output carries no wall-clock
+times, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -22,12 +21,7 @@ import json
 import sys
 
 from .arith import int_to_decimal
-from .blockseq import (
-    DEFAULT_CAP,
-    block_sequence_head,
-    generate_block_sequence,
-    verify_block_divisibility,
-)
+from .blockseq import block_sequence_head, generate_block_sequence, verify_block_divisibility
 from .hildebrand import (
     FOUND,
     SAT,
@@ -51,6 +45,7 @@ from .multfunc import (
     FINITE_SUPPORT,
     SIEVE_BOUNDED,
     MultiplicativeFunction,
+    assignment_from_pairs,
     find_runs,
     function_from_dict,
     function_to_dict,
@@ -85,14 +80,11 @@ def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", metavar="PATH", help="write the result here instead of stdout")
 
 
-def _add_search_flags(p: argparse.ArgumentParser, symmetry: bool = True):
+def _add_search_flags(p: argparse.ArgumentParser):
     p.add_argument("--deterministic", action="store_true",
                    help="omit machine-dependent fields from the output")
-    if symmetry:
-        p.add_argument("--symmetry-reduction", action="store_true",
-                       help="restrict the first prime to unit-orbit representatives")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface uniformity; searches are sequential")
+    p.add_argument("--symmetry-reduction", action="store_true",
+                   help="restrict the first prime to unit-orbit representatives")
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)
 
@@ -126,22 +118,20 @@ def _load_json(path: str, parser: _Parser):
         )
 
 
-def _parse_primes(text: str, parser: _Parser) -> dict[int, int]:
-    assignment: dict[int, int] = {}
-    if not text.strip():
-        return assignment
-    for chunk in text.split(","):
+def _parse_primes(text: str) -> dict[int, int]:
+    """Prime classes from '2:1,3:0'; a ValueError names the bad entry."""
+    pairs = []
+    for chunk in text.split(",") if text.strip() else ():
         parts = chunk.strip().split(":")
         if len(parts) != 2:
-            parser.error(f"--primes entry {chunk.strip()!r} is not of the form p:c")
+            raise ValueError(f"--primes entry {chunk.strip()!r} is not of the form p:c")
         try:
-            p, c = int(parts[0]), int(parts[1])
+            pairs.append([int(parts[0]), int(parts[1])])
         except ValueError:
-            parser.error(f"--primes entry {chunk.strip()!r} is not a pair of integers")
-        if p in assignment:
-            parser.error(f"--primes repeats prime {p}")
-        assignment[p] = c
-    return assignment
+            raise ValueError(
+                f"--primes entry {chunk.strip()!r} is not a pair of integers"
+            ) from None
+    return assignment_from_pairs(pairs, "--primes")
 
 
 def _function_from_args(args, parser: _Parser) -> MultiplicativeFunction:
@@ -155,11 +145,10 @@ def _function_from_args(args, parser: _Parser) -> MultiplicativeFunction:
             parser.error(str(exc))
     if args.k is None:
         parser.error("describe the function with --spec FILE or inline flags starting at --k")
-    assignment = _parse_primes(args.primes, parser)
     mode = args.mode if args.mode is not None else FINITE_SUPPORT
     try:
         return MultiplicativeFunction(
-            args.k, assignment, mode=mode, limit=args.limit,
+            args.k, _parse_primes(args.primes), mode=mode, limit=args.limit,
             default_class=args.default_class,
         )
     except ValueError as exc:
@@ -168,23 +157,19 @@ def _function_from_args(args, parser: _Parser) -> MultiplicativeFunction:
 
 def _options_from_args(args) -> SearchOptions:
     return SearchOptions(
-        deterministic=args.deterministic,
-        symmetry_reduction=getattr(args, "symmetry_reduction", False),
-        threads=args.threads,
+        symmetry_reduction=args.symmetry_reduction,
         node_budget=args.node_budget,
         time_budget=args.time_budget,
     )
 
 
-def _options_doc(opts: SearchOptions, with_symmetry: bool = True) -> dict:
-    doc: dict = {"deterministic": opts.deterministic}
-    if with_symmetry:
-        doc["symmetry_reduction"] = opts.symmetry_reduction
-    if not opts.deterministic:
-        doc["threads"] = opts.threads
-    doc["node_budget"] = opts.node_budget
-    doc["time_budget"] = opts.time_budget
-    return doc
+def _options_doc(args) -> dict:
+    return {
+        "deterministic": args.deterministic,
+        "symmetry_reduction": args.symmetry_reduction,
+        "node_budget": args.node_budget,
+        "time_budget": args.time_budget,
+    }
 
 
 def _stats_doc(stats, deterministic: bool) -> dict:
@@ -233,9 +218,8 @@ def _emit(args, doc: dict, plain: str | None = None):
 
 
 def cmd_constant(args, parser: _Parser) -> int:
-    opts = _options_from_args(args)
     try:
-        res = hildebrand_constant(args.k, args.b_max, r=args.r, options=opts)
+        res = hildebrand_constant(args.k, args.b_max, r=args.r, options=_options_from_args(args))
     except ValueError as exc:
         parser.error(str(exc))
     cert = res.certificate
@@ -250,17 +234,16 @@ def cmd_constant(args, parser: _Parser) -> int:
         "certificate_for": res.certificate_for,
         "certificate": certificate_to_dict(cert) if cert else None,
         "certificate_verified": verify_certificate(cert) if cert else None,
-        "options": _options_doc(opts),
-        "stats": _stats_doc(res.stats, opts.deterministic),
+        "options": _options_doc(args),
+        "stats": _stats_doc(res.stats, args.deterministic),
     }
     _emit(args, doc)
     return EXIT_OK if res.status == FOUND else EXIT_NOT_FOUND
 
 
 def cmd_avoid(args, parser: _Parser) -> int:
-    opts = _options_from_args(args)
     try:
-        out = avoidance_search(args.k, args.r, args.B, options=opts)
+        out = avoidance_search(args.k, args.r, args.B, options=_options_from_args(args))
     except ValueError as exc:
         parser.error(str(exc))
     cert = out.certificate
@@ -273,8 +256,8 @@ def cmd_avoid(args, parser: _Parser) -> int:
         "reason": out.reason,
         "certificate": certificate_to_dict(cert) if cert else None,
         "verified": verify_certificate(cert) if cert else None,
-        "options": _options_doc(opts),
-        "stats": _stats_doc(out.stats, opts.deterministic),
+        "options": _options_doc(args),
+        "stats": _stats_doc(out.stats, args.deterministic),
     }
     _emit(args, doc)
     return EXIT_NOT_FOUND if out.status == UNKNOWN else EXIT_OK
@@ -324,7 +307,7 @@ def cmd_runs(args, parser: _Parser) -> int:
 
 def cmd_blockseq(args, parser: _Parser) -> int:
     try:
-        seq = generate_block_sequence(args.n, cap=args.cap)
+        seq = generate_block_sequence(args.n)
     except ValueError as exc:
         parser.error(str(exc))
     report = verify_block_divisibility(seq)
@@ -366,7 +349,7 @@ def cmd_hindman(args, parser: _Parser) -> int:
             f = _function_from_args(args, parser)
             if f.mode != FINITE_SUPPORT:
                 parser.error("--coloring function needs a finite-support function")
-            coloring = block_sum_coloring(f, block_sequence_head(args.n, cap=args.cap))
+            coloring = block_sum_coloring(f, block_sequence_head(args.n))
     except ValueError as exc:
         parser.error(str(exc))
     status, reason, family = NOT_FOUND, None, None
@@ -409,9 +392,7 @@ def cmd_witness(args, parser: _Parser) -> int:
     status, reason, witness = NOT_FOUND, None, None
     try:
         if args.method == "proof":
-            witness = ip_witness_from_proof(
-                f, args.m, args.n_prefix, node_budget=args.node_budget, cap=args.cap
-            )
+            witness = ip_witness_from_proof(f, args.m, args.n_prefix, node_budget=args.node_budget)
         else:
             witness = ip_witness_direct(f, args.m, args.bound, node_budget=args.node_budget)
     except SearchBudgetExceeded:
@@ -420,10 +401,6 @@ def cmd_witness(args, parser: _Parser) -> int:
         parser.error(str(exc))
     if witness is not None:
         status = FOUND
-    opts_doc: dict = {"deterministic": args.deterministic}
-    if not args.deterministic:
-        opts_doc["threads"] = args.threads
-    opts_doc["node_budget"] = args.node_budget
     doc = {
         "command": "witness",
         "method": args.method,
@@ -434,7 +411,7 @@ def cmd_witness(args, parser: _Parser) -> int:
         "reason": reason,
         "witness": witness_to_dict(witness) if witness else None,
         "verified": verify_witness(witness) if witness else None,
-        "options": opts_doc,
+        "options": {"deterministic": args.deterministic, "node_budget": args.node_budget},
     }
     _emit(args, doc)
     return EXIT_OK if status == FOUND else EXIT_NOT_FOUND
@@ -505,8 +482,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("blockseq", help="generate and verify a block-divisible sequence")
     p.add_argument("--n", type=int, required=True, help="last term index")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help=f"refuse n beyond this (default {DEFAULT_CAP})")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_blockseq)
 
@@ -520,8 +495,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None,
                    help="seed for --coloring random (default 0)")
     p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="sequence cap for --coloring function")
     _add_function_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_hindman)
@@ -534,11 +507,8 @@ def build_parser() -> _Parser:
                    help="sequence prefix length for --method proof")
     p.add_argument("--bound", type=int, default=None,
                    help="scan limit for --method direct")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--deterministic", action="store_true",
                    help="omit machine-dependent fields from the output")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface uniformity; witness scans are sequential")
     p.add_argument("--node-budget", type=int, default=None,
                    help="give up (exit 2) after this many candidate blocks (proof) "
                         "or generators (direct)")

@@ -48,23 +48,16 @@ class SearchOptions:
     """Knobs shared by the avoidance and constant searches.
 
     Searches are sequential, so the answer and node count depend only on
-    the problem.  deterministic selects no code path here; front ends use
-    it to leave machine-dependent fields out of their output.  threads is
-    validated (>= 1) and otherwise ignored, for interface uniformity.
-    node_budget bounds assignments tried, time_budget bounds wall-clock
-    seconds; exceeding either yields an unknown outcome instead of an
-    answer.
+    the problem and these knobs.  node_budget bounds assignments tried,
+    time_budget bounds wall-clock seconds; exceeding either yields an
+    unknown outcome instead of an answer.
     """
 
-    deterministic: bool = False
     symmetry_reduction: bool = False
-    threads: int = 1
     node_budget: int | None = None
     time_budget: float | None = None
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError(f"node budget must be >= 1, got {self.node_budget}")
         if self.time_budget is not None and self.time_budget <= 0:
@@ -398,6 +391,7 @@ def hildebrand_constant(
     t0 = time.monotonic()
     prev_cert = None
     tables = None
+    reason = "sat-at-bmax"
 
     def tally() -> SearchStats:
         return SearchStats(nodes, backtracks, depth, time.monotonic() - t0)
@@ -407,18 +401,14 @@ def hildebrand_constant(
         if options.node_budget is not None:
             left = options.node_budget - nodes
             if left < 1:
-                return ConstantResult(
-                    UNKNOWN, None, prev_cert, B - 1 if prev_cert else None,
-                    tally(), "node-budget",
-                )
+                reason = "node-budget"
+                break
             opts = replace(opts, node_budget=left)
         if options.time_budget is not None:
             left_t = options.time_budget - (time.monotonic() - t0)
             if left_t <= 0:
-                return ConstantResult(
-                    UNKNOWN, None, prev_cert, B - 1 if prev_cert else None,
-                    tally(), "time-budget",
-                )
+                reason = "time-budget"
+                break
             opts = replace(opts, time_budget=left_t)
         if tables is None or B > tables.bound:
             tables = _Tables(r, min(B_max, max(2 * B, 64)))
@@ -427,11 +417,11 @@ def hildebrand_constant(
         backtracks += out.stats.backtracks
         depth = max(depth, out.stats.depth_reached)
         if out.status == UNKNOWN:
-            return ConstantResult(
-                UNKNOWN, None, prev_cert, B - 1 if prev_cert else None,
-                tally(), out.reason,
-            )
+            reason = out.reason
+            break
         if out.status == UNSAT:
             return ConstantResult(FOUND, B, prev_cert, B - 1, tally())
         prev_cert = out.certificate
-    return ConstantResult(UNKNOWN, None, prev_cert, B_max, tally(), "sat-at-bmax")
+    return ConstantResult(
+        UNKNOWN, None, prev_cert, prev_cert.B if prev_cert else None, tally(), reason
+    )

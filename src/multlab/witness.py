@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .arith import decimal_to_int, int_to_decimal, valuation
 from .blockseq import (
-    DEFAULT_CAP,
     MAX_DECIMAL_DIGITS,
     block_sequence_head,
     generate_block_sequence,
@@ -201,7 +200,6 @@ def ip_witness_from_proof(
     n_prefix: int,
     *,
     node_budget: int | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> IPWitness | None:
     """Witness from a monochromatic block family over s_1..s_{n_prefix}.
 
@@ -228,12 +226,12 @@ def ip_witness_from_proof(
         raise ValueError(f"pipeline needs m >= 2 blocks (m - 1 generators), got {m}")
     if n_prefix < 1:
         raise ValueError(f"prefix length must be >= 1, got {n_prefix}")
-    terms = block_sequence_head(n_prefix, cap=cap)
+    terms = block_sequence_head(n_prefix)
     family = monochromatic_fu_search(block_sum_coloring(f, terms), m, node_budget=node_budget)
     if family is None:
         return None
     if family.blocks[-1][-1] == n_prefix:
-        terms = generate_block_sequence(n_prefix, cap=cap).terms
+        terms = generate_block_sequence(n_prefix).terms
     sums = [sum(map(terms.__getitem__, block)) for block in family.blocks]
     b1 = sums[0]
     for block, b in zip(family.blocks, sums):

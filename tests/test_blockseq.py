@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -51,9 +52,6 @@ def test_recurrence_against_direct_product():
 def test_generation_cap_mentions_digits():
     with pytest.raises(ValueError, match="decimal digits"):
         generate_block_sequence(9)
-    generate_block_sequence(3, cap=3)
-    with pytest.raises(ValueError):
-        generate_block_sequence(4, cap=3)
 
 
 def test_terms_past_the_digit_limit_are_refused_before_any_product():
@@ -61,16 +59,24 @@ def test_terms_past_the_digit_limit_are_refused_before_any_product():
     check_term_size(7)
     with pytest.raises(ValueError, match="roughly 87031808 decimal digits, over the cap"):
         check_term_size(8)
-    # the default cap of 8 admits s_8, the digit limit does not
     with pytest.raises(ValueError, match="refusing s_8"):
         generate_block_sequence(8)
     with pytest.raises(ValueError, match="refusing s_8"):
-        block_sequence_head(9, cap=9)
+        block_sequence_head(9)
     # a huge index is refused without forming its digit estimate
     with pytest.raises(ValueError, match=r"refusing s_1000000: .* roughly 332 \* 2\^"):
         generate_block_sequence(10**6)
-    with pytest.raises(ValueError, match=r"cap = 8: s_1000000 would have roughly 332 \* 2\^"):
+    with pytest.raises(ValueError, match=r"refusing s_999999: .* roughly 332 \* 2\^"):
         block_sequence_head(10**6)
+
+
+def test_digit_estimates_stop_at_s11():
+    assert estimated_digits(11) == 332 * 2**45
+    start = time.perf_counter()
+    for n in (12, 10**6):
+        with pytest.raises(ValueError, match=f"digit estimates stop at s_11, got n = {n}"):
+            estimated_digits(n)
+    assert time.perf_counter() - start < 1
 
 
 @given(st.integers(0, 6), st.integers(2, 2**80))

@@ -418,16 +418,62 @@ def test_witness_flag_misuse_is_usage_error():
     assert "finite-support" in err
 
 
-def test_deterministic_output_is_thread_invariant():
+def test_deterministic_output_is_repeatable():
     outputs = []
-    for threads in ("1", "2", "8"):
-        code, out, err = run(
-            "constant", "--k", "2", "--r", "2", "--deterministic",
-            "--threads", threads,
-        )
+    for _ in range(3):
+        code, out, err = run("constant", "--k", "2", "--r", "2", "--deterministic")
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("args", [
+    ["constant", "--k", "2", "--threads", "2"],
+    ["avoid", "--k", "2", "--B", "5", "--threads", "2"],
+    ["witness", "--method", "direct", "--m", "2", "--bound", "30", *LIOUVILLE,
+     "--threads", "2"],
+    ["blockseq", "--n", "3", "--cap", "8"],
+    ["hindman", "--n", "4", "--m", "2", "--coloring", "size-parity", "--cap", "8"],
+    ["witness", "--method", "proof", "--m", "2", "--n-prefix", "3", "--k", "1",
+     "--cap", "8"],
+])
+def test_removed_flags_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(args[-2:])}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["hindman", "--coloring", "function", "--k", "4", "--primes", "2:1", "--n", "9",
+     "--m", "4"],
+    ["witness", "--method", "proof", "--k", "4", "--primes", "2:1", "--m", "4",
+     "--n-prefix", "9"],
+])
+def test_pipeline_past_s8_names_the_term_it_refuses(args, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "refusing s_8: it would have roughly 87031808 decimal digits" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("primes, message", [
+    ("2:1,3", "--primes entry '3' is not of the form p:c"),
+    ("2:1,", "--primes entry '' is not of the form p:c"),
+    ("2:x", "--primes entry '2:x' is not a pair of integers"),
+    ("2:1,3:0,2:0", "--primes repeats prime 2"),
+])
+def test_malformed_primes_are_usage_errors(primes, message):
+    code, out, err = run("runs", "--bound", "10", "--k", "2", "--primes", primes)
+    assert (code, out) == (1, "")
+    assert f"multlab: error: {message}\n" in err
+    assert "Traceback" not in err
 
 
 def test_function_spec_file_and_inline_conflict(tmp_path):

@@ -29,11 +29,8 @@ from oracles import (
     trial_division_factors,
 )
 
-DET = SearchOptions(deterministic=True)
-
-
 def test_forcing_constant_for_two_classes():
-    res = hildebrand_constant(2, 20, options=DET)
+    res = hildebrand_constant(2, 20)
     assert res.status == FOUND
     assert res.c == 9
     assert res.certificate_for == 8
@@ -42,7 +39,7 @@ def test_forcing_constant_for_two_classes():
 
 
 def test_trivial_modulus_forces_immediately():
-    res = hildebrand_constant(1, 5, options=DET)
+    res = hildebrand_constant(1, 5)
     assert res.status == FOUND
     assert res.c == 1
     assert res.certificate is None
@@ -52,7 +49,7 @@ def test_trivial_modulus_forces_immediately():
 def test_avoidance_matches_brute_force_for_two_classes():
     for B in range(1, 11):
         sat, least = brute_force_avoidance(2, 2, B)
-        out = avoidance_search(2, 2, B, DET)
+        out = avoidance_search(2, 2, B)
         assert (out.status == SAT) == sat
         if sat:
             assert out.certificate.assignment == least
@@ -62,20 +59,20 @@ def test_avoidance_matches_brute_force_for_two_classes():
 def test_avoidance_matches_brute_force_for_three_classes():
     for B in range(1, 9):
         sat, least = brute_force_avoidance(3, 2, B)
-        out = avoidance_search(3, 2, B, DET)
+        out = avoidance_search(3, 2, B)
         assert (out.status == SAT) == sat
         if sat:
             assert out.certificate.assignment == least
 
 
 def test_triple_runs_avoidable_far_beyond_pair_bound():
-    out = avoidance_search(2, 3, 50, DET)
+    out = avoidance_search(2, 3, 50)
     assert out.status == SAT
     assert verify_certificate(out.certificate)
 
 
 def test_constant_gives_up_when_all_bounds_satisfiable():
-    res = hildebrand_constant(2, 6, options=DET)
+    res = hildebrand_constant(2, 6)
     assert res.status == UNKNOWN
     assert res.reason == "sat-at-bmax"
     assert res.certificate_for == 6
@@ -83,30 +80,18 @@ def test_constant_gives_up_when_all_bounds_satisfiable():
 
 
 def test_symmetry_reduction_preserves_lex_least_answers():
-    red = SearchOptions(deterministic=True, symmetry_reduction=True)
+    red = SearchOptions(symmetry_reduction=True)
     for k in (2, 3, 4):
         for B in range(1, 8):
-            full = avoidance_search(k, 2, B, DET)
+            full = avoidance_search(k, 2, B)
             reduced = avoidance_search(k, 2, B, red)
             assert full.status == reduced.status
             if full.status == SAT:
                 assert full.certificate.assignment == reduced.certificate.assignment
 
 
-def test_threaded_search_agrees_on_status():
-    opts = SearchOptions(threads=4)
-    for k, B in ((2, 4), (2, 8), (2, 9), (3, 20), (4, 30)):
-        seq = avoidance_search(k, 2, B, DET)
-        par = avoidance_search(k, 2, B, opts)
-        assert par.status == seq.status
-        assert par.certificate == seq.certificate
-        assert par.stats.nodes == seq.stats.nodes
-        assert par.stats.backtracks == seq.stats.backtracks
-        assert par.stats.depth_reached == seq.stats.depth_reached
-
-
 def test_node_budget_yields_unknown():
-    out = avoidance_search(2, 2, 8, SearchOptions(deterministic=True, node_budget=2))
+    out = avoidance_search(2, 2, 8, SearchOptions(node_budget=2))
     assert out.status == UNKNOWN
     assert out.reason == "node-budget"
     assert out.certificate is None
@@ -127,7 +112,7 @@ def test_time_budget_yields_unknown():
 
 def test_huge_deepening_bound_allocates_nothing_up_front():
     t0 = time.monotonic()
-    res = hildebrand_constant(2, 10**9, options=DET)
+    res = hildebrand_constant(2, 10**9)
     assert time.monotonic() - t0 < 2.0
     assert res.status == FOUND
     assert res.c == 9
@@ -140,9 +125,7 @@ def test_shared_tables_match_fresh_probes(k, r, symmetry):
     # B_max 80 makes the tables grow from 64; 150 makes them grow twice.
     for B_max in (1, 8, 64, 80, 150):
         for node_budget in (None, 5, 40):
-            opts = SearchOptions(
-                deterministic=True, symmetry_reduction=symmetry, node_budget=node_budget
-            )
+            opts = SearchOptions(symmetry_reduction=symmetry, node_budget=node_budget)
             res = hildebrand_constant(k, B_max, r=r, options=opts)
             got = (
                 res.status, res.c, res.certificate, res.certificate_for,
@@ -166,7 +149,7 @@ def test_cli_constant_pins_answer_and_counts(capsys, k, b_max, c, nodes, backtra
 
 
 def test_stats_are_populated():
-    out = avoidance_search(2, 2, 8, DET)
+    out = avoidance_search(2, 2, 8)
     assert out.stats.nodes > 0
     assert out.stats.depth_reached == 4
     assert out.stats.wall_time >= 0.0
@@ -186,8 +169,6 @@ def test_input_validation():
     with pytest.raises(ValueError, match="run length must be >= 2, got 1"):
         hildebrand_constant(2, 5, r=1)
     with pytest.raises(ValueError):
-        SearchOptions(threads=0)
-    with pytest.raises(ValueError):
         SearchOptions(node_budget=0)
 
 
@@ -201,7 +182,7 @@ def test_certificate_requires_complete_assignment():
 
 
 def test_certificate_dict_round_trip():
-    cert = avoidance_search(2, 2, 8, DET).certificate
+    cert = avoidance_search(2, 2, 8).certificate
     doc = certificate_to_dict(cert)
     assert certificate_from_dict(doc) == cert
     with pytest.raises(ValueError, match="'k'"):
@@ -231,7 +212,7 @@ def test_invalid_certificate_detected():
 @given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 8))
 def test_search_decision_matches_brute_force(k, r, B):
     sat, least = brute_force_avoidance(k, r, B)
-    out = avoidance_search(k, r, B, DET)
+    out = avoidance_search(k, r, B)
     assert (out.status == SAT) == sat
     if sat:
         assert out.certificate.assignment == least
@@ -246,9 +227,7 @@ def test_search_decision_matches_brute_force(k, r, B):
     st.sampled_from([None, 5, 40]),
 )
 def test_class_table_engine_matches_spf_walk(k, r, B, symmetry, node_budget):
-    opts = SearchOptions(
-        deterministic=True, symmetry_reduction=symmetry, node_budget=node_budget
-    )
+    opts = SearchOptions(symmetry_reduction=symmetry, node_budget=node_budget)
     out = avoidance_search(k, r, B, opts)
     got = (
         out.status,
@@ -267,7 +246,7 @@ def test_class_table_engine_matches_spf_walk(k, r, B, symmetry, node_budget):
     ],
 )
 def test_large_probes_pin_status_and_counts(k, B, status, nodes, backtracks, depth):
-    out = avoidance_search(k, 2, B, DET)
+    out = avoidance_search(k, 2, B)
     assert out.status == status
     stats = out.stats
     assert (stats.nodes, stats.backtracks, stats.depth_reached) == (nodes, backtracks, depth)
