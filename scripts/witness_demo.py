@@ -21,6 +21,8 @@ from multlab import (
     subset_sum,
     verify_witness,
 )
+from multlab.blockseq import check_term_size
+from multlab.cli import parse_primes
 
 
 def shorten(n, keep=40):
@@ -28,15 +30,6 @@ def shorten(n, keep=40):
     if len(text) <= keep:
         return text
     return f"{text[:18]}...{text[-18:]} <{len(text)} digits>"
-
-
-def parse_primes(text):
-    out = {}
-    if text.strip():
-        for chunk in text.split(","):
-            p, c = chunk.split(":")
-            out[int(p)] = int(c)
-    return out
 
 
 def main(argv=None):
@@ -48,7 +41,11 @@ def main(argv=None):
     ap.add_argument("--bound", type=int, default=2000, help="direct scan limit")
     args = ap.parse_args(argv)
 
-    f = MultiplicativeFunction.finite_support(args.k, parse_primes(args.primes))
+    try:
+        f = MultiplicativeFunction.finite_support(args.k, parse_primes(args.primes))
+        check_term_size(args.n_prefix)
+    except ValueError as exc:
+        sys.exit(f"witness_demo: error: {exc}")
     print(f"function: k={f.k}, prime classes {dict(sorted(f.assignment.items()))}")
 
     print(f"\n-- pipeline over s_1..s_{args.n_prefix} --")

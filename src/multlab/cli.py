@@ -118,7 +118,7 @@ def _load_json(path: str, parser: _Parser):
         )
 
 
-def _parse_primes(text: str) -> dict[int, int]:
+def parse_primes(text: str) -> dict[int, int]:
     """Prime classes from '2:1,3:0'; a ValueError names the bad entry."""
     pairs = []
     for chunk in text.split(",") if text.strip() else ():
@@ -148,7 +148,7 @@ def _function_from_args(args, parser: _Parser) -> MultiplicativeFunction:
     mode = args.mode if args.mode is not None else FINITE_SUPPORT
     try:
         return MultiplicativeFunction(
-            args.k, _parse_primes(args.primes), mode=mode, limit=args.limit,
+            args.k, parse_primes(args.primes), mode=mode, limit=args.limit,
             default_class=args.default_class,
         )
     except ValueError as exc:

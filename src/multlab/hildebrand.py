@@ -8,13 +8,13 @@ r = 2) is the forcing constant of k, and the value for k = 2 is 9.
 
 Primes receive classes in increasing order.  A window of r consecutive
 integers has final values once the largest prime factor over its elements
-is assigned, so every window is checked exactly once per class tried at
-that prime.  The search keeps a table of the classes of the integers,
-grown prime by prime: the class of n is the class of n with its largest
-prime stripped, already final, plus that prime's exponent times its class.
-Trying a class at a prime writes only the integers it owns that lie in its
-windows; every other integer is written when the search reaches the first
-prime that reads it.
+is assigned, so every window is checked exactly once per entry into that
+prime, for the classes it forbids there.  The search keeps a table of the
+classes of the integers, grown prime by prime: the class of n is the class
+of n with its largest prime stripped, already final, plus that prime's
+exponent times its class.  The class kept at a prime writes only the
+integers it owns in its windows; every other integer is written when the
+search reaches the first prime that reads it.
 Classes are tried in increasing order, which makes the first satisfying
 assignment found the lexicographically least one (prime-major,
 class-minor).  Relabeling classes by a unit of Z/kZ preserves the kernel,
@@ -29,7 +29,8 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import compress
+from functools import lru_cache
+from itertools import chain, compress, islice, tee
 from typing import Mapping
 
 from .arith import build_sieve, prime_flags
@@ -177,7 +178,7 @@ class _Tables:
       factor over their elements is primes[i], so their values become
       final when primes[i] is set;
     * fresh[i]: the n with lpi[n] = i that lie in one of those windows;
-      the search writes their classes for every class it tries at i;
+      the search writes their classes for the class it keeps at i;
     * due[i]: the n with lpi[n] < i that the search first reads at i, in
       a window of primes[i] or as the cofactor of an integer written at
       i; it writes their classes once on entering i.
@@ -212,25 +213,26 @@ class _Tables:
                 cof[n] = cof[m] * p
                 ex[n] = ex[m]
         del sieve, spf
-        self.windows: list[list[int]] = [[] for _ in primes]
-        # first[n]: the prime index at which the search first reads n.
-        first = [len(primes)] * (limit + 1)
-        for a in range(1, bound + 1):
-            i = max(lpi[a : a + r])
-            self.windows[i].append(a)
-            for n in range(a, a + r):
-                if i < first[n]:
-                    first[n] = i
+        def owners():  # the largest prime index over a..a+r-1, for a = 1..bound
+            return map(max, *(islice(lpi, 1 + j, bound + 1 + j) for j in range(r)))
+        self.windows = windows = [[] for _ in primes]
+        for a, i in enumerate(owners(), 1):
+            windows[i].append(a)
+        # first[n], where the search first reads n: the least owner of a window
+        # holding n, with no list of all owners, which would raise peak memory.
+        pad = [len(primes)] * (r - 1)
+        shifted = tee(chain(pad, owners(), pad), r)
+        first = [len(primes), *map(min, *(islice(t, j, j + limit) for j, t in enumerate(shifted)))]
         # n is written at first[n], and reads its cofactor then; cof[n] < n,
         # so a downward pass sees every reader of an integer before it.
         for n in range(limit, 3, -1):
             if first[n] < first[cof[n]]:
                 first[cof[n]] = first[n]
-        self.fresh: list[list[int]] = [[] for _ in primes]
-        self.due: list[list[int]] = [[] for _ in primes]
+        self.fresh = fresh = [[] for _ in primes]
+        self.due = due = [[] for _ in primes]
         for n in range(2, limit + 1):
             i = first[n]
-            (self.fresh if i == lpi[n] else self.due)[i].append(n)
+            (fresh if i == lpi[n] else due)[i].append(n)
 
     def view(self, B: int):
         """(primes, fresh, due, windows) of the problem at B <= bound.
@@ -259,6 +261,34 @@ class _Tables:
         )
 
 
+class _ZeroMasks(dict):
+    """zero[b][e]: the k-bit mask of the classes c with (b + e*c) % k == 0.
+
+    That is the set of classes at a prime p under which n = m * p**e, with
+    m of class b, lands in the kernel: with g = gcd(e, k), none unless g
+    divides b, else c0 + t*k/g for t < g.  A row is built when first read,
+    so a large k costs only the rows the search reads.  _zero_masks shares
+    one table per (k, e_max) between the probes of a deepening.
+    """
+
+    def __init__(self, k: int, e_max: int):
+        self.k, self.e_max = k, e_max
+
+    def __missing__(self, b: int) -> list[int]:
+        k, row = self.k, []
+        for e in range(self.e_max + 1):
+            g = math.gcd(e, k)
+            step = k // g
+            c0 = -(b // g) * pow(e // g, -1, step) % step
+            # Bit c0 and every step-th bit above it: 1 << c0 times a repunit.
+            row.append(0 if b % g else ((1 << k) - 1) // ((1 << step) - 1) << c0)
+        self[b] = row
+        return row
+
+
+_zero_masks = lru_cache(maxsize=16)(_ZeroMasks)
+
+
 def _run_dfs(
     k: int,
     tables: _Tables,
@@ -272,25 +302,48 @@ def _run_dfs(
 ):
     """Backtracking scan; returns (status, classes, reason, nodes, backtracks, depth).
 
-    val[n] holds the class of n under the classes currently set.  Entering
-    prime index i writes val for due[i], whose primes are all set.  Trying
-    class c at i writes val for fresh[i], then tests the windows of prime i
-    in increasing start order, stopping at the first kernel run.  Every
-    value a window or a cofactor lookup reads was thus written on the
-    current path, and every window is tested exactly once per class tried
-    at its largest prime.
+    val[n] holds the class of n under the classes currently set, and 0 for
+    the n in fresh[i] while prime index i holds none.  Entering i writes
+    val for due[i], then passes once over the windows of i for
+    forbidden[i], the mask of the classes making one of them a kernel run:
+    a window whose values all read 0 forbids those putting its element
+    owned by i in the kernel.  Trying class c tests bit c; the class kept
+    writes val for fresh[i], and exhausting i clears it.  So every value
+    read was written on the current path, and every window is tested once
+    per entry into its largest prime.  Nodes and backtracks count classes
+    tried and rejected (plus primes exhausted), as in a search testing the
+    windows of every class tried from scratch.
     """
     r, lpi, cof, ex = tables.r, tables.lpi, tables.cof, tables.ex
     nprimes = len(primes)
+    zero = _zero_masks(k, (len(cof) - 1).bit_length())
+    every, last = (1 << k) - 1, r - 1
     val = [0] * len(cof)
     cls = [0] * nprimes
+    forbidden = [0] * nprimes
     later = tuple(range(k))
     pos = [0] * nprimes
     nodes = backtracks = depth_reached = 0
     i = 0
     while i < nprimes:
         classes = first_classes if i == 0 else later
-        own_fresh, own_windows = fresh[i], windows[i]
+        if not pos[i]:
+            for n in due[i]:
+                val[n] = (val[cof[n]] + ex[n] * cls[lpi[n]]) % k
+            ban, p = 0, primes[i]
+            for a in windows[i]:
+                # Most windows hold a value outside the kernel for good.
+                if val[a] or val[a + last] or any(val[a + 1 : a + last]):
+                    continue
+                # Its one element owned by i is its one multiple of p: a second
+                # would bring in all of pm..pm + p, which has a prime factor
+                # above p (Bertrand for m = 1, Sylvester's theorem for m > 1).
+                n = a + -a % p
+                ban |= zero[val[cof[n]]][ex[n]]
+                if ban == every:
+                    break
+            forbidden[i] = ban
+        ban = forbidden[i]
         while pos[i] < len(classes):
             c = classes[pos[i]]
             pos[i] += 1
@@ -299,25 +352,24 @@ def _run_dfs(
                 return UNKNOWN, None, "node-budget", nodes, backtracks, depth_reached
             if nodes & _CHECK_MASK == 0 and deadline is not None and time.monotonic() > deadline:
                 return UNKNOWN, None, "time-budget", nodes, backtracks, depth_reached
-            for n in own_fresh:
+            if ban >> c & 1:
+                backtracks += 1
+                continue
+            cls[i] = c
+            for n in fresh[i]:
                 val[n] = (val[cof[n]] + ex[n] * c) % k
-            for a in own_windows:
-                # Most windows fail on their first value, before any slice.
-                if not val[a] and not any(val[a + 1 : a + r]):
-                    backtracks += 1
-                    break
-            else:
-                cls[i] = c
-                i += 1
-                depth_reached = max(depth_reached, i)
-                if i < nprimes:
-                    pos[i] = 0
-                    for n in due[i]:
-                        val[n] = (val[cof[n]] + ex[n] * cls[lpi[n]]) % k
-                break
+            i += 1
+            if i > depth_reached:
+                depth_reached = i
+            if i < nprimes:
+                pos[i] = 0
+            break
         else:
             if i == 0:
                 return UNSAT, None, None, nodes, backtracks, depth_reached
+            if ban != every:  # some class was kept, so fresh[i] was written
+                for n in fresh[i]:
+                    val[n] = 0
             i -= 1
             backtracks += 1
     return SAT, cls, None, nodes, backtracks, depth_reached

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -19,6 +20,7 @@ from multlab.hildebrand import (
     certificate_to_dict,
     hildebrand_constant,
     _Tables,
+    _zero_masks,
     verify_certificate,
 )
 
@@ -220,7 +222,7 @@ def test_search_decision_matches_brute_force(k, r, B):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(1, 5),
+    st.integers(1, 8),
     st.sampled_from([2, 3, 4]),
     st.integers(1, 400),
     st.booleans(),
@@ -235,6 +237,33 @@ def test_class_table_engine_matches_spf_walk(k, r, B, symmetry, node_budget):
         out.stats.nodes, out.stats.backtracks, out.stats.depth_reached, out.reason,
     )
     assert got == spf_walk_avoidance(k, r, B, symmetry, node_budget)
+
+
+def test_large_modulus_reads_only_the_mask_rows_it_needs():
+    # A full table of k * k masks would take seconds to build at this k.
+    t0 = time.monotonic()
+    out = avoidance_search(3000, 2, 300)
+    assert time.monotonic() - t0 < 2.0
+    got = (out.status, out.certificate.assignment, out.stats.nodes, out.stats.backtracks)
+    assert got == spf_walk_avoidance(3000, 2, 300, False, None)[:4]
+
+
+def test_zero_masks_match_brute_force():
+    for k in range(1, 13):
+        zero = _zero_masks(k, 20)
+        for b in range(k):
+            for e in range(21):
+                kernel = set()
+                for c in range(k):
+                    total = b
+                    for _ in range(e):
+                        total = (total + c) % k
+                    if total == 0:
+                        kernel.add(c)
+                assert zero[b][e] == sum(1 << c for c in kernel), (k, b, e)
+                # e*c = -b (mod k) has gcd(e, k) solutions when that divides b, else none.
+                g = math.gcd(e, k)
+                assert len(kernel) == (g if b % g == 0 else 0), (k, b, e)
 
 
 @pytest.mark.parametrize(
@@ -270,6 +299,17 @@ def test_tables_split_reconstructs_argument(n):
     p = SPLIT.primes[SPLIT.lpi[n]]
     assert SPLIT.cof[n] * p ** SPLIT.ex[n] == n
     assert all(q < p for q, _ in trial_division_factors(SPLIT.cof[n]))
+
+
+@pytest.mark.parametrize("r", [2, 3, 6, 12, 30])
+def test_each_window_holds_one_multiple_of_its_prime(r):
+    # The search reads only that multiple as the window's element owned by
+    # its prime; r > p is where a second one could fit.
+    tables = _Tables(r, 5000)
+    for i, ws in enumerate(tables.windows):
+        p = tables.primes[i]
+        for a in ws:
+            assert [n for n in range(a, a + r) if n % p == 0] == [a + -a % p]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
