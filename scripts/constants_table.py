@@ -24,6 +24,14 @@ def main(argv=None):
     ap.add_argument("--symmetry-reduction", action="store_true")
     args = ap.parse_args(argv)
 
+    try:
+        table(args)
+    except ValueError as exc:
+        sys.exit(f"constants_table: error: {exc}")
+    return 0
+
+
+def table(args):
     options = SearchOptions(
         symmetry_reduction=args.symmetry_reduction,
         node_budget=args.node_budget,
@@ -37,7 +45,6 @@ def main(argv=None):
             f"{k:>3}  {res.status:<10} {c:>6}  {res.stats.nodes:>12}"
             f"  {res.stats.wall_time:>8.2f}{note}"
         )
-    return 0
 
 
 if __name__ == "__main__":

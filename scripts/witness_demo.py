@@ -21,12 +21,13 @@ from multlab import (
     subset_sum,
     verify_witness,
 )
+from multlab.arith import int_to_decimal
 from multlab.blockseq import check_term_size
 from multlab.cli import parse_primes
 
 
 def shorten(n, keep=40):
-    text = str(n)
+    text = int_to_decimal(n)
     if len(text) <= keep:
         return text
     return f"{text[:18]}...{text[-18:]} <{len(text)} digits>"
@@ -42,10 +43,15 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     try:
-        f = MultiplicativeFunction.finite_support(args.k, parse_primes(args.primes))
-        check_term_size(args.n_prefix)
+        demo(args)
     except ValueError as exc:
         sys.exit(f"witness_demo: error: {exc}")
+    return 0
+
+
+def demo(args):
+    f = MultiplicativeFunction.finite_support(args.k, parse_primes(args.primes))
+    check_term_size(args.n_prefix)
     print(f"function: k={f.k}, prime classes {dict(sorted(f.assignment.items()))}")
 
     print(f"\n-- pipeline over s_1..s_{args.n_prefix} --")
@@ -77,7 +83,6 @@ def main(argv=None):
         print(f"  generators: {d.generators}")
         print(f"  closure: {fs_closure(d.generators)}")
         print(f"  verified: {verify_witness(d)}")
-    return 0
 
 
 if __name__ == "__main__":

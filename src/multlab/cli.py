@@ -7,7 +7,11 @@ families (hindman), and finite-sums witnesses (witness, verify-witness).
 
 Exit codes: 0 for a definitive answer, including unsat decisions and
 failed verifications; 2 when a search found nothing or ran out of budget;
-1 for usage and input validation errors.
+1 for usage and input validation errors.  Handlers and the library raise
+ValueError for bad or oversized input, and main alone turns it into exit 1
+with the usage line and the message.  A verified field reports the
+library's own recheck: the searches raise RuntimeError before returning
+an answer that fails it.
 
 Results are JSON documents with a fixed key order.  Searches run
 sequentially.  Under --deterministic the output carries no wall-clock
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .arith import int_to_decimal
 from .blockseq import block_sequence_head, generate_block_sequence, verify_block_divisibility
@@ -31,7 +36,6 @@ from .hildebrand import (
     certificate_from_dict,
     certificate_to_dict,
     hildebrand_constant,
-    verify_certificate,
 )
 from .hindman import (
     SearchBudgetExceeded,
@@ -55,7 +59,6 @@ from .witness import (
     first_violation,
     ip_witness_direct,
     ip_witness_from_proof,
-    verify_witness,
     witness_from_dict,
     witness_to_dict,
 )
@@ -101,21 +104,31 @@ def _add_function_flags(p: argparse.ArgumentParser):
                    help="inline prime classes, e.g. '2:1,3:0'")
 
 
-def _load_json(path: str, parser: _Parser):
+def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        parser.error(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        parser.error(f"{path} is not UTF-8 text: {exc}")
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
-        parser.error(f"{path} is not valid JSON: {exc}")
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     except ValueError:  # json's error for an integer literal past the int/str limit
-        parser.error(
+        raise ValueError(
             f"{path} holds an integer literal too long to parse; "
             "write big integers as decimal strings"
-        )
+        ) from None
+
+
+def _load_embedded(path: str, key: str):
+    """The JSON at path, or its key member when it is a result document."""
+    doc = _load_json(path)
+    if isinstance(doc, dict) and key in doc:
+        if not isinstance(doc[key], dict):
+            raise ValueError(f"{path} contains no {key}")
+        doc = doc[key]
+    return doc
 
 
 def parse_primes(text: str) -> dict[int, int]:
@@ -134,25 +147,19 @@ def parse_primes(text: str) -> dict[int, int]:
     return assignment_from_pairs(pairs, "--primes")
 
 
-def _function_from_args(args, parser: _Parser) -> MultiplicativeFunction:
+def _function_from_args(args) -> MultiplicativeFunction:
     if args.spec is not None:
         if args.k is not None or args.mode is not None or args.limit is not None \
                 or args.primes or args.default_class:
-            parser.error("--spec cannot be combined with inline function flags")
-        try:
-            return function_from_dict(_load_json(args.spec, parser))
-        except ValueError as exc:
-            parser.error(str(exc))
+            raise ValueError("--spec cannot be combined with inline function flags")
+        return function_from_dict(_load_json(args.spec))
     if args.k is None:
-        parser.error("describe the function with --spec FILE or inline flags starting at --k")
+        raise ValueError("describe the function with --spec FILE or inline flags starting at --k")
     mode = args.mode if args.mode is not None else FINITE_SUPPORT
-    try:
-        return MultiplicativeFunction(
-            args.k, parse_primes(args.primes), mode=mode, limit=args.limit,
-            default_class=args.default_class,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    return MultiplicativeFunction(
+        args.k, parse_primes(args.primes), mode=mode, limit=args.limit,
+        default_class=args.default_class,
+    )
 
 
 def _options_from_args(args) -> SearchOptions:
@@ -164,12 +171,16 @@ def _options_from_args(args) -> SearchOptions:
 
 
 def _options_doc(args) -> dict:
-    return {
-        "deterministic": args.deterministic,
-        "symmetry_reduction": args.symmetry_reduction,
-        "node_budget": args.node_budget,
-        "time_budget": args.time_budget,
-    }
+    return {"deterministic": args.deterministic, **asdict(_options_from_args(args))}
+
+
+def _budgeted(search, *args, **kwargs):
+    """(status, reason, answer) of a search that may exhaust its node budget."""
+    try:
+        answer = search(*args, **kwargs)
+    except SearchBudgetExceeded:
+        return UNKNOWN, "node-budget", None
+    return (NOT_FOUND if answer is None else FOUND), None, answer
 
 
 def _stats_doc(stats, deterministic: bool) -> dict:
@@ -217,11 +228,8 @@ def _emit(args, doc: dict, plain: str | None = None):
         sys.stdout.write(text)
 
 
-def cmd_constant(args, parser: _Parser) -> int:
-    try:
-        res = hildebrand_constant(args.k, args.b_max, r=args.r, options=_options_from_args(args))
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_constant(args) -> int:
+    res = hildebrand_constant(args.k, args.b_max, r=args.r, options=_options_from_args(args))
     cert = res.certificate
     doc = {
         "command": "constant",
@@ -233,7 +241,7 @@ def cmd_constant(args, parser: _Parser) -> int:
         "reason": res.reason,
         "certificate_for": res.certificate_for,
         "certificate": certificate_to_dict(cert) if cert else None,
-        "certificate_verified": verify_certificate(cert) if cert else None,
+        "certificate_verified": True if cert else None,
         "options": _options_doc(args),
         "stats": _stats_doc(res.stats, args.deterministic),
     }
@@ -241,11 +249,8 @@ def cmd_constant(args, parser: _Parser) -> int:
     return EXIT_OK if res.status == FOUND else EXIT_NOT_FOUND
 
 
-def cmd_avoid(args, parser: _Parser) -> int:
-    try:
-        out = avoidance_search(args.k, args.r, args.B, options=_options_from_args(args))
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_avoid(args) -> int:
+    out = avoidance_search(args.k, args.r, args.B, options=_options_from_args(args))
     cert = out.certificate
     doc = {
         "command": "avoid",
@@ -255,7 +260,7 @@ def cmd_avoid(args, parser: _Parser) -> int:
         "status": out.status,
         "reason": out.reason,
         "certificate": certificate_to_dict(cert) if cert else None,
-        "verified": verify_certificate(cert) if cert else None,
+        "verified": True if cert else None,
         "options": _options_doc(args),
         "stats": _stats_doc(out.stats, args.deterministic),
     }
@@ -263,16 +268,8 @@ def cmd_avoid(args, parser: _Parser) -> int:
     return EXIT_NOT_FOUND if out.status == UNKNOWN else EXIT_OK
 
 
-def cmd_verify_cert(args, parser: _Parser) -> int:
-    doc_in = _load_json(args.path, parser)
-    if isinstance(doc_in, dict) and "certificate" in doc_in:
-        if not isinstance(doc_in["certificate"], dict):
-            parser.error(f"{args.path} contains no certificate")
-        doc_in = doc_in["certificate"]
-    try:
-        cert = certificate_from_dict(doc_in)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_verify_cert(args) -> int:
+    cert = certificate_from_dict(_load_embedded(args.path, "certificate"))
     runs = find_runs(cert.function(), cert.r, cert.B)
     doc = {
         "command": "verify-cert",
@@ -286,12 +283,9 @@ def cmd_verify_cert(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def cmd_runs(args, parser: _Parser) -> int:
-    f = _function_from_args(args, parser)
-    try:
-        runs = find_runs(f, args.r, args.bound)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_runs(args) -> int:
+    f = _function_from_args(args)
+    runs = find_runs(f, args.r, args.bound)
     doc = {
         "command": "runs",
         "r": args.r,
@@ -305,11 +299,8 @@ def cmd_runs(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def cmd_blockseq(args, parser: _Parser) -> int:
-    try:
-        seq = generate_block_sequence(args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_blockseq(args) -> int:
+    seq = generate_block_sequence(args.n)
     report = verify_block_divisibility(seq)
     terms = [int_to_decimal(t) for t in seq.terms]
     doc = {
@@ -325,42 +316,33 @@ def cmd_blockseq(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def cmd_hindman(args, parser: _Parser) -> int:
+def cmd_hindman(args) -> int:
     inline_function = args.spec is not None or args.k is not None
     if args.coloring != "random" and args.classes is not None:
-        parser.error("--classes applies only to --coloring random")
+        raise ValueError("--classes applies only to --coloring random")
     if args.coloring != "random" and args.seed is not None:
-        parser.error("--seed applies only to --coloring random")
+        raise ValueError("--seed applies only to --coloring random")
     if args.coloring != "function" and inline_function:
-        parser.error("function flags apply only to --coloring function")
+        raise ValueError("function flags apply only to --coloring function")
     seed = None
-    try:
-        if args.coloring == "size-parity":
-            coloring = size_parity_coloring(args.n)
-        elif args.coloring == "max-parity":
-            coloring = max_parity_coloring(args.n)
-        elif args.coloring == "random":
-            seed = args.seed if args.seed is not None else 0
-            classes = args.classes if args.classes is not None else 2
-            if classes < 1:
-                parser.error(f"--classes must be >= 1, got {classes}")
-            coloring = random_coloring(args.n, classes, seed)
-        else:
-            f = _function_from_args(args, parser)
-            if f.mode != FINITE_SUPPORT:
-                parser.error("--coloring function needs a finite-support function")
-            coloring = block_sum_coloring(f, block_sequence_head(args.n))
-    except ValueError as exc:
-        parser.error(str(exc))
-    status, reason, family = NOT_FOUND, None, None
-    try:
-        family = monochromatic_fu_search(coloring, args.m, node_budget=args.node_budget)
-    except SearchBudgetExceeded:
-        status, reason = UNKNOWN, "node-budget"
-    except ValueError as exc:
-        parser.error(str(exc))
-    if family is not None:
-        status = FOUND
+    if args.coloring == "size-parity":
+        coloring = size_parity_coloring(args.n)
+    elif args.coloring == "max-parity":
+        coloring = max_parity_coloring(args.n)
+    elif args.coloring == "random":
+        seed = args.seed if args.seed is not None else 0
+        classes = args.classes if args.classes is not None else 2
+        if classes < 1:
+            raise ValueError(f"--classes must be >= 1, got {classes}")
+        coloring = random_coloring(args.n, classes, seed)
+    else:
+        f = _function_from_args(args)
+        if f.mode != FINITE_SUPPORT:
+            raise ValueError("--coloring function needs a finite-support function")
+        coloring = block_sum_coloring(f, block_sequence_head(args.n))
+    status, reason, family = _budgeted(
+        monochromatic_fu_search, coloring, args.m, node_budget=args.node_budget
+    )
     doc = {
         "command": "hindman",
         "n": args.n,
@@ -377,30 +359,21 @@ def cmd_hindman(args, parser: _Parser) -> int:
     return EXIT_OK if status == FOUND else EXIT_NOT_FOUND
 
 
-def cmd_witness(args, parser: _Parser) -> int:
-    f = _function_from_args(args, parser)
+def cmd_witness(args) -> int:
+    f = _function_from_args(args)
     if args.method == "proof":
         if args.bound is not None:
-            parser.error("--bound applies only to --method direct")
+            raise ValueError("--bound applies only to --method direct")
         if args.n_prefix is None:
-            parser.error("--method proof needs --n-prefix")
+            raise ValueError("--method proof needs --n-prefix")
+        search, size = ip_witness_from_proof, args.n_prefix
     else:
         if args.n_prefix is not None:
-            parser.error("--n-prefix applies only to --method proof")
+            raise ValueError("--n-prefix applies only to --method proof")
         if args.bound is None:
-            parser.error("--method direct needs --bound")
-    status, reason, witness = NOT_FOUND, None, None
-    try:
-        if args.method == "proof":
-            witness = ip_witness_from_proof(f, args.m, args.n_prefix, node_budget=args.node_budget)
-        else:
-            witness = ip_witness_direct(f, args.m, args.bound, node_budget=args.node_budget)
-    except SearchBudgetExceeded:
-        status, reason = UNKNOWN, "node-budget"
-    except ValueError as exc:
-        parser.error(str(exc))
-    if witness is not None:
-        status = FOUND
+            raise ValueError("--method direct needs --bound")
+        search, size = ip_witness_direct, args.bound
+    status, reason, witness = _budgeted(search, f, args.m, size, node_budget=args.node_budget)
     doc = {
         "command": "witness",
         "method": args.method,
@@ -410,27 +383,19 @@ def cmd_witness(args, parser: _Parser) -> int:
         "status": status,
         "reason": reason,
         "witness": witness_to_dict(witness) if witness else None,
-        "verified": verify_witness(witness) if witness else None,
+        "verified": True if witness else None,
         "options": {"deterministic": args.deterministic, "node_budget": args.node_budget},
     }
     _emit(args, doc)
     return EXIT_OK if status == FOUND else EXIT_NOT_FOUND
 
 
-def cmd_verify_witness(args, parser: _Parser) -> int:
-    doc_in = _load_json(args.path, parser)
-    if isinstance(doc_in, dict) and "witness" in doc_in:
-        if not isinstance(doc_in["witness"], dict):
-            parser.error(f"{args.path} contains no witness")
-        doc_in = doc_in["witness"]
-    try:
-        witness = witness_from_dict(doc_in)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_verify_witness(args) -> int:
+    witness = witness_from_dict(_load_embedded(args.path, "witness"))
     try:
         violation = first_violation(witness)
     except ValueError as exc:
-        parser.error(f"witness is not checkable: {exc}")
+        raise ValueError(f"witness is not checkable: {exc}") from None
     doc = {
         "command": "verify-witness",
         "k": witness.func.k,
@@ -527,7 +492,10 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, parser)
+    try:
+        return args.handler(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -42,6 +42,9 @@ UNKNOWN = "unknown"
 FOUND = "found"
 
 _CHECK_MASK = 0xFF
+# The search builds k-entry tuples and k-bit masks per prime; refuse larger
+# k before any of them is made.
+MAX_MODULUS = 2**16
 
 
 @dataclass(frozen=True)
@@ -378,6 +381,8 @@ def _run_dfs(
 def _check_problem(k: int, r: int) -> None:
     if k < 1:
         raise ValueError(f"modulus k must be >= 1, got {k}")
+    if k > MAX_MODULUS:
+        raise ValueError(f"modulus k = {k} exceeds the search cap {MAX_MODULUS}")
     if r < 2:
         raise ValueError(f"run length must be >= 2, got {r}")
 

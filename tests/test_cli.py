@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import pathlib
 import resource
 import subprocess
 import sys
@@ -517,3 +518,193 @@ def test_cli_import_loads_no_thread_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Every subcommand driven to its boundary: bad input exits 1 with the usage
+# line and one message, an exhausted node budget exits 2 with status unknown.
+# The messages were recorded before handlers stopped calling parser.error
+# themselves, so a change in where exit 1 is decided shows up here.
+LIOU = " ".join(LIOUVILLE)
+USAGE_ERROR = "usage: multlab [-h] COMMAND ...\nmultlab: error: {}\n"
+NOT_JSON = ("broken.json is not valid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)")
+REFUSING_S8 = ("refusing s_8: it would have roughly 87031808 decimal digits, over the cap of "
+               "1000000 decimal digits")
+CONSTANT_WITHOUT_K = (
+    "usage: multlab constant [-h] --k K [--r R] [--b-max B_MAX] [--deterministic]\n"
+    "                        [--symmetry-reduction] [--node-budget NODE_BUDGET]\n"
+    "                        [--time-budget TIME_BUDGET] [--format {json,plain}]\n"
+    "                        [--out PATH]\n"
+    "multlab constant: error: the following arguments are required: --k\n"
+)
+AVOID_BAD_INT = (
+    "usage: multlab avoid [-h] --k K [--r R] --B B [--deterministic]\n"
+    "                     [--symmetry-reduction] [--node-budget NODE_BUDGET]\n"
+    "                     [--time-budget TIME_BUDGET] [--format {json,plain}]\n"
+    "                     [--out PATH]\n"
+    "multlab avoid: error: argument --k: invalid int value: 'x'\n"
+)
+BOUNDARY_FILES = {
+    "broken.json": b"{not json",
+    "latin1.json": b'{"k": 2, "mode": "\xff"}',
+    "big.json": b'{"k": ' + b"9" * 5000 + b"}",
+    "nocert.json": b'{"certificate": 5}',
+    "partial.json": b'{"k": 2, "r": 2, "B": 10, "assignment": [[2, 1]]}',
+    "spec.json": b'{"k": 2, "mode": "sieve-bounded", "limit": 31, "default": 1, "assignment": []}',
+    "nowitness.json": b'{"witness": [1]}',
+    "badwitness.json": b'{"function": {"k": 2, "mode": "finite-support", "limit": null, '
+                       b'"default": 0, "assignment": []}, "provenance": "magic", '
+                       b'"generators": ["1"]}',
+    "unchecked.json": b'{"witness": {"function": {"k": 2, "mode": "sieve-bounded", "limit": 31, '
+                      b'"default": 1, "assignment": []}, "provenance": "direct-search", '
+                      b'"generators": ["40"]}}',
+}
+# (command line, exit code, message); a message with a newline is the whole
+# of stderr, None marks an exhausted budget.
+BOUNDARY_CASES = [
+    ("constant --k 0", 1, "modulus k must be >= 1, got 0"),
+    ("constant --k 2 --r 1", 1, "run length must be >= 2, got 1"),
+    ("constant --k 2 --b-max 0", 1, "deepening bound must be >= 1, got 0"),
+    ("constant --k 2 --node-budget 0", 1, "node budget must be >= 1, got 0"),
+    ("constant --k 2 --time-budget 0", 1, "time budget must be positive, got 0.0"),
+    ("constant --k 3 --node-budget 100 --deterministic", 2, None),
+    ("constant", 1, CONSTANT_WITHOUT_K),
+    ("avoid --k 0 --B 5", 1, "modulus k must be >= 1, got 0"),
+    ("avoid --k 2 --B 0", 1, "avoidance bound must be >= 1, got 0"),
+    ("avoid --k 2 --r 1 --B 5", 1, "run length must be >= 2, got 1"),
+    ("avoid --k 5 --B 7888 --node-budget 10 --deterministic", 2, None),
+    ("avoid --k x --B 5", 1, AVOID_BAD_INT),
+    ("verify-cert missing.json", 1,
+     "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+    ("verify-cert broken.json", 1, NOT_JSON),
+    ("verify-cert latin1.json", 1,
+     "latin1.json is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 18: "
+     "invalid start byte"),
+    ("verify-cert big.json", 1,
+     "big.json holds an integer literal too long to parse; write big integers as decimal strings"),
+    ("verify-cert nocert.json", 1, "nocert.json contains no certificate"),
+    ("verify-cert partial.json", 1,
+     "certificate invalid: certificate misses classes for primes [3, 5, 7, 11]"),
+    ("verify-cert spec.json", 1, "certificate field 'r' must be an integer"),
+    ("runs --bound 10", 1,
+     "describe the function with --spec FILE or inline flags starting at --k"),
+    ("runs --bound 10 --spec spec.json --k 2", 1,
+     "--spec cannot be combined with inline function flags"),
+    ("runs --bound 10 --spec broken.json", 1, NOT_JSON),
+    ("runs --bound 10 --spec nocert.json", 1,
+     "function spec field 'k' must be a positive integer"),
+    (f"runs --bound 0 {LIOU}", 1, "bound must be >= 1, got 0"),
+    (f"runs --r 0 --bound 10 {LIOU}", 1, "run length must be >= 1, got 0"),
+    (f"runs --bound 40 {LIOU}", 1, "41 exceeds evaluable range 1..31"),
+    ("runs --bound 10 --k 0", 1, "modulus k must be >= 1, got 0"),
+    ("runs --bound 10 --k 2 --primes 2:1,3", 1, "--primes entry '3' is not of the form p:c"),
+    ("runs --bound 10 --k 2 --primes 4:1", 1, "assignment key 4 is not prime"),
+    ("blockseq --n -1", 1, "term count index must be >= 0, got -1"),
+    ("blockseq --n 8", 1, REFUSING_S8),
+    ("blockseq --n 40", 1,
+     "refusing s_40: it would have roughly 332 * 2^770 decimal digits, over the cap of "
+     "1000000 decimal digits"),
+    ("hindman --n 4 --m 2 --coloring size-parity --classes 3", 1,
+     "--classes applies only to --coloring random"),
+    ("hindman --n 4 --m 2 --coloring max-parity --seed 1", 1,
+     "--seed applies only to --coloring random"),
+    ("hindman --n 4 --m 2 --coloring random --k 2", 1,
+     "function flags apply only to --coloring function"),
+    ("hindman --n 4 --m 2 --coloring random --classes 0", 1, "--classes must be >= 1, got 0"),
+    (f"hindman --n 4 --m 2 --coloring function {LIOU}", 1,
+     "--coloring function needs a finite-support function"),
+    ("hindman --n 4 --m 2 --coloring function", 1,
+     "describe the function with --spec FILE or inline flags starting at --k"),
+    ("hindman --n 0 --m 2 --coloring size-parity", 1, "universe size must be >= 1, got 0"),
+    ("hindman --n 4 --m 0 --coloring size-parity", 1, "family size must be >= 1, got 0"),
+    ("hindman --n 40 --m 2 --coloring random", 1,
+     "random coloring tabulates 2^n - 1 subsets; n = 40 exceeds the cap 20"),
+    ("hindman --n 9 --m 4 --coloring function --k 4 --primes 2:1", 1, REFUSING_S8),
+    ("hindman --n 12 --m 6 --coloring random --node-budget 5", 2, None),
+    ("hindman --n 4 --m 2 --coloring size-parity --node-budget 0", 2, None),
+    ("witness --method proof --m 2 --n-prefix 3 --bound 10 --k 1", 1,
+     "--bound applies only to --method direct"),
+    ("witness --method proof --m 2 --k 1", 1, "--method proof needs --n-prefix"),
+    (f"witness --method direct --m 2 --n-prefix 3 {LIOU}", 1,
+     "--n-prefix applies only to --method proof"),
+    (f"witness --method direct --m 2 {LIOU}", 1, "--method direct needs --bound"),
+    (f"witness --method proof --m 2 --n-prefix 3 {LIOU}", 1,
+     "pipeline needs a finite-support function, got mode 'sieve-bounded'"),
+    ("witness --method proof --m 1 --n-prefix 3 --k 1", 1,
+     "pipeline needs m >= 2 blocks (m - 1 generators), got 1"),
+    ("witness --method proof --m 2 --n-prefix 0 --k 1", 1, "prefix length must be >= 1, got 0"),
+    (f"witness --method direct --m 0 --bound 30 {LIOU}", 1, "generator count must be >= 1, got 0"),
+    (f"witness --method direct --m 2 --bound 40 {LIOU}", 1, "41 exceeds evaluable range 1..31"),
+    (f"witness --method direct --m 3 --bound 30 {LIOU} --node-budget 2", 2, None),
+    ("witness --method proof --m 4 --n-prefix 5 --k 2 --primes 2:1,3:1,5:1 --node-budget 1", 2,
+     None),
+    ("witness --method proof --k 4 --primes 2:1 --m 4 --n-prefix 9", 1, REFUSING_S8),
+    ("witness --method proof --m 2 --n-prefix 3 --k 1 --node-budget 0", 2, None),
+    ("verify-witness missing.json", 1,
+     "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+    ("verify-witness broken.json", 1, NOT_JSON),
+    ("verify-witness nowitness.json", 1, "nowitness.json contains no witness"),
+    ("verify-witness badwitness.json", 1,
+     "witness field 'provenance' must be 'proof-pipeline' or 'direct-search'"),
+    ("verify-witness unchecked.json", 1,
+     "witness is not checkable: 40 exceeds evaluable range 1..31"),
+    ("verify-witness big.json", 1,
+     "big.json holds an integer literal too long to parse; write big integers as decimal strings"),
+]
+
+
+@pytest.mark.parametrize("line, code, message", BOUNDARY_CASES,
+                         ids=[case[0] for case in BOUNDARY_CASES])
+def test_each_subcommand_at_its_boundary(line, code, message, tmp_path, monkeypatch, capsys):
+    for name, data in BOUNDARY_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = cli.main(line.split())
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    assert "Traceback" not in out + err
+    if message is None:
+        assert err == ""
+        doc = json.loads(out)
+        assert (doc["status"], doc["reason"]) == ("unknown", "node-budget")
+    else:
+        assert out == ""
+        assert err == (message if "\n" in message else USAGE_ERROR.format(message))
+
+
+def test_avoid_refuses_a_modulus_past_the_cap_at_once():
+    start = time.perf_counter()
+    code, out, err = run("avoid", "--k", "65537", "--B", "10")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.endswith("multlab: error: modulus k = 65537 exceeds the search cap 65536\n")
+    code, doc = run_json("avoid", "--k", "65536", "--B", "10", "--deterministic")
+    assert (code, doc["status"], doc["verified"]) == (0, "sat", True)
+
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("witness_demo.py", "--m 1", "pipeline needs m >= 2 blocks (m - 1 generators), got 1"),
+    ("witness_demo.py", "--bound 0", "bound must be >= 1, got 0"),
+    ("witness_demo.py", "--n-prefix 0", "prefix length must be >= 1, got 0"),
+    ("constants_table.py", "--b-max 0", "deepening bound must be >= 1, got 0"),
+    ("constants_table.py", "--node-budget 0", "node budget must be >= 1, got 0"),
+])
+def test_scripts_refuse_out_of_range_arguments(script, args, message):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args.split()],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"{script[:-3]}: error: {message}\n"
+
+
+def test_witness_demo_prints_terms_past_the_int_str_limit():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "witness_demo.py"), "--n-prefix", "6"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "<10925 digits>" in proc.stdout

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multlab import cli
+from multlab import cli, hildebrand
 from multlab.arith import build_sieve
 from multlab.hildebrand import (
     FOUND,
+    MAX_MODULUS,
     SAT,
     UNKNOWN,
     UNSAT,
@@ -172,6 +173,20 @@ def test_input_validation():
         hildebrand_constant(2, 5, r=1)
     with pytest.raises(ValueError):
         SearchOptions(node_budget=0)
+
+
+def test_modulus_past_the_cap_is_refused_before_any_table(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("tables built for a refused modulus")
+
+    monkeypatch.setattr(hildebrand, "_Tables", no_tables)
+    message = f"modulus k = {MAX_MODULUS + 1} exceeds the search cap {MAX_MODULUS}"
+    with pytest.raises(ValueError, match=message):
+        avoidance_search(MAX_MODULUS + 1, 2, 10**9)
+    with pytest.raises(ValueError, match=message):
+        hildebrand_constant(MAX_MODULUS + 1, 10**9)
+    monkeypatch.undo()
+    assert avoidance_search(MAX_MODULUS, 2, 10).status == SAT
 
 
 def test_certificate_requires_complete_assignment():
