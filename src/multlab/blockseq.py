@@ -7,7 +7,9 @@ The generated sequence starts s_0 = 1 and satisfies
 where s_A denotes the sum of the terms indexed by A.  Every s_A with
 max(A) <= n divides s_{n+1}, so whenever A precedes B (max A < min B) the
 sum s_B is a sum of multiples of s_A and s_A | s_B.  Growth is doubly
-exponential, hence the digit limit on every term built.
+exponential, hence the digit limit on every term built.  The same
+recurrence taken mod q gives s_0..s_n mod q (term_residues) without
+forming any term, which is all a p-adic valuation of a block sum needs.
 """
 
 from __future__ import annotations
@@ -113,11 +115,10 @@ def subset_sum(seq: BlockSequence, indices: Iterable[int]) -> int:
 
 
 def _all_subset_sums(terms: Sequence[int]) -> list[int]:
-    """sums[mask] = sum of terms[i] over set bits of mask, by lsb doubling."""
-    sums = [0] * (1 << len(terms))
-    for mask in range(1, len(sums)):
-        lsb = mask & -mask
-        sums[mask] = sums[mask ^ lsb] + terms[lsb.bit_length() - 1]
+    """sums[mask] = sum of terms[i] over set bits of mask, one term at a time."""
+    sums = [0]
+    for t in terms:
+        sums += [s + t for s in sums]
     return sums
 
 
@@ -168,45 +169,36 @@ def check_term_size(n: int) -> None:
         )
 
 
-def _next_term(terms: Sequence[int]) -> int:
-    """s_n for n = len(terms): the product of every nonempty subset sum."""
-    return _balanced_product(_all_subset_sums(terms)[1:])
+def term_residues(n: int, q: int) -> list[int]:
+    """s_0..s_n mod q from the recurrence, forming no term.
 
-
-def block_sequence_head(n: int) -> tuple[int, ...]:
-    """s_0..s_{n-1}, the terms that determine s_n, without s_n itself.
-
-    s_n is the product of the sums s_B over nonempty B within {0..n-1}, so
-    a caller that needs only residues of s_n (see top_term_residue) never
-    pays for it.  Checks s_{n-1} against the digit limit before building
-    anything.
+    Each s_j mod q is the product, mod q, of the nonempty subset sums of
+    the residues before it.  The work is about 2^(n+1) sums and products
+    of numbers below (n + 1) * q, so callers bound n.
     """
-    if n < 0:
-        raise ValueError(f"term count index must be >= 0, got {n}")
-    check_term_size(n - 1)
-    terms: tuple[int, ...] = ()
+    residues = [1 % q]
     for _ in range(n):
-        terms += (_next_term(terms),)
-    return terms
-
-
-def top_term_residue(terms: Sequence[int], q: int) -> int:
-    """s_n mod q for n = len(terms), from the terms reduced mod q."""
-    top = 1
-    for factor in _all_subset_sums([t % q for t in terms])[1:]:
-        top = top * factor % q
-    return top
+        top = 1
+        for s in _all_subset_sums(residues)[1:]:
+            top = top * s % q
+        residues.append(top)
+    return residues
 
 
 def generate_block_sequence(n: int) -> BlockSequence:
     """Terms s_0..s_n of the product-over-blocks recurrence.
 
     Refuses any s_n past MAX_DECIMAL_DIGITS decimal digits (s_8 has about
-    8.7 * 10^7) before any product is formed.
+    8.7 * 10^7) before any product is formed.  This is the only place
+    terms are built; the proof pipeline colors blocks from term_residues.
     """
+    if n < 0:
+        raise ValueError(f"term count index must be >= 0, got {n}")
     check_term_size(n)
-    terms = block_sequence_head(n)
-    return BlockSequence(terms + (_next_term(terms),))
+    terms = [1]
+    for _ in range(n):
+        terms.append(_balanced_product(_all_subset_sums(terms)[1:]))
+    return BlockSequence(terms)
 
 
 @dataclass(frozen=True)

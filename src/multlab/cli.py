@@ -26,7 +26,7 @@ import sys
 from dataclasses import asdict
 
 from .arith import int_to_decimal
-from .blockseq import block_sequence_head, generate_block_sequence, verify_block_divisibility
+from .blockseq import generate_block_sequence, verify_block_divisibility
 from .hildebrand import (
     FOUND,
     SAT,
@@ -339,7 +339,7 @@ def cmd_hindman(args) -> int:
         f = _function_from_args(args)
         if f.mode != FINITE_SUPPORT:
             raise ValueError("--coloring function needs a finite-support function")
-        coloring = block_sum_coloring(f, block_sequence_head(args.n))
+        coloring = block_sum_coloring(f, args.n)
     status, reason, family = _budgeted(
         monochromatic_fu_search, coloring, args.m, node_budget=args.node_budget
     )

@@ -34,6 +34,7 @@ from itertools import chain, compress, islice, tee
 from typing import Mapping
 
 from .arith import build_sieve, prime_flags
+from .hindman import node_limit
 from .multfunc import MultiplicativeFunction, assignment_from_pairs, find_runs
 
 SAT = "sat"
@@ -62,8 +63,7 @@ class SearchOptions:
     time_budget: float | None = None
 
     def __post_init__(self):
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError(f"node budget must be >= 1, got {self.node_budget}")
+        node_limit(self.node_budget)
         if self.time_budget is not None and self.time_budget <= 0:
             raise ValueError(f"time budget must be positive, got {self.time_budget}")
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -35,20 +36,30 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when a search hits its node budget before deciding."""
 
 
+def node_limit(node_budget: int | None) -> float:
+    """The node budget as a limit (infinite for None); every search checks it here."""
+    if node_budget is None:
+        return math.inf
+    if node_budget < 1:
+        raise ValueError(f"node budget must be >= 1, got {node_budget}")
+    return node_budget
+
+
 @dataclass(frozen=True)
 class SubsetColoring:
     """Coloring of the nonempty subsets of {1..n} with colors 1..classes.
 
     color maps a block (a sorted tuple) to its color.  table, when given,
-    holds the same colors by block mask (element i is bit n - i, see
-    _block_masks), already in 1..classes; the search then reads it
-    directly and never calls color_of.
+    gives the same colors by block mask (element i is bit n - i, see
+    _block_masks), already in 1..classes: a list, or an object that
+    computes them from the mask and stores nothing.  The search then reads
+    it directly and never calls color_of.
     """
 
     n: int
     classes: int
     color: Callable[[Block], int]
-    table: Sequence[int] | None = field(default=None, compare=False, repr=False)
+    table: Sequence[int] | _ComputedTable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -126,16 +137,14 @@ def _block_of(mask: int, n: int) -> Block:
     return tuple(out)
 
 
-class _MaskColors(dict):
-    """Color per block mask, asking coloring.color_of once per subset."""
+class _ComputedTable:
+    """A coloring table whose entry for a mask is computed on each read."""
 
-    def __init__(self, coloring: SubsetColoring):
-        super().__init__()
-        self.coloring = coloring
+    def __init__(self, entry: Callable[[int], int]):
+        self.entry = entry
 
-    def __missing__(self, mask: int) -> int:
-        c = self[mask] = self.coloring.color_of(_block_of(mask, self.coloring.n))
-        return c
+    def __getitem__(self, mask: int) -> int:
+        return self.entry(mask)
 
 
 def monochromatic_fu_search(
@@ -163,9 +172,11 @@ def monochromatic_fu_search(
     """
     if m < 1:
         raise ValueError(f"family size must be >= 1, got {m}")
+    limit = node_limit(node_budget)
     n = coloring.n
-    color = coloring.table if coloring.table is not None else _MaskColors(coloring)
-    limit = math.inf if node_budget is None else node_budget
+    color = coloring.table
+    if color is None:
+        color = _ComputedTable(cache(lambda mask: coloring.color_of(_block_of(mask, n))))
     nodes = 0
 
     def extend(chosen: list[int], unions: list[int], target: int, lo: int):
@@ -204,13 +215,15 @@ def monochromatic_fu_search(
 
 
 def size_parity_coloring(n: int) -> SubsetColoring:
-    """Two colors by parity of the block size."""
-    return SubsetColoring(n, 2, lambda b: 1 + len(b) % 2)
+    """Two colors by parity of the block size: the bit count of its mask."""
+    table = _ComputedTable(lambda mask: 1 + mask.bit_count() % 2)
+    return SubsetColoring(n, 2, lambda b: table[_mask_of(b, n)], table)
 
 
 def max_parity_coloring(n: int) -> SubsetColoring:
-    """Two colors by parity of the largest element."""
-    return SubsetColoring(n, 2, lambda b: 1 + b[-1] % 2)
+    """Two colors by parity of the largest element: the lowest set bit of its mask."""
+    table = _ComputedTable(lambda mask: 1 + (n + 1 - (mask & -mask).bit_length()) % 2)
+    return SubsetColoring(n, 2, lambda b: table[_mask_of(b, n)], table)
 
 
 def random_coloring(n: int, classes: int, seed: int) -> SubsetColoring:

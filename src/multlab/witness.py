@@ -11,29 +11,27 @@ of a block-divisible sequence by the class of their term sum, extracts a
 monochromatic finite-union family A_1 < ... < A_m, and divides the block
 sums b_i by b_1; divisibility of the sums and constancy of the class on
 the union closure make every quotient sum plus the implicit 1 collapse
-back into the monochromatic family.  The direct search instead scans
+back into the monochromatic family.  The colors come from residues of
+the terms alone; the terms themselves are built only up to the largest
+index the family found uses.  The direct search instead scans
 kernel pairs f(a) = f(a + 1) = 1 below a bound for a subset-sum-closed
 subfamily.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cache
 
 from .arith import decimal_to_int, int_to_decimal, valuation
-from .blockseq import (
-    MAX_DECIMAL_DIGITS,
-    block_sequence_head,
-    generate_block_sequence,
-    top_term_residue,
-)
+from .blockseq import MAX_DECIMAL_DIGITS, check_term_size, generate_block_sequence, term_residues
 from .hindman import (
     BlockFamily,
     SearchBudgetExceeded,
     SubsetColoring,
     fu_closure,
     monochromatic_fu_search,
+    node_limit,
 )
 from .multfunc import (
     FINITE_SUPPORT,
@@ -105,39 +103,33 @@ def verify_witness(witness: IPWitness) -> bool:
     return first_violation(witness) is None
 
 
-def block_sum_coloring(f: MultiplicativeFunction, terms: tuple[int, ...]) -> SubsetColoring:
+def block_sum_coloring(f: MultiplicativeFunction, n: int) -> SubsetColoring:
     """Color each block A of {1..n} by 1 + the class of its term sum s_A.
 
-    terms are s_0..s_{n-1}, as block_sequence_head returns them, and s_n is
-    never formed.  A block without n is colored from its sum.  A block
-    with n has s_A = r + s_n, r the sum over A minus n, and v_p(s_A) is
-    read from the window x = (r + s_n mod p^w) mod p^w, with w doubled
-    from 64 until x is nonzero: p^w divides s_A - x, so v_p(s_A) = v_p(x).
-    s_n mod p^w is computed once per (p, w).  Needs a finite-support
-    function.
+    No term is formed.  v_p(s_A) is read from the window
+    x = (sum of s_i mod p^w over i in A) mod p^w, with w doubled from 64
+    until x is nonzero: p^w divides s_A - x, so v_p(s_A) = v_p(x).  The
+    residues s_0..s_n mod p^w (term_residues) are computed once per
+    (p, w).  Needs a finite-support function, and keeps the digit limit of
+    the terms before s_n, so n <= 8.
     """
     if f.mode != FINITE_SUPPORT:
         raise ValueError(f"block sums need a finite-support function, got mode {f.mode!r}")
-    n = len(terms)
+    check_term_size(n - 1)
     support = [(p, c) for p, c in f.assignment.items() if c]
-    windows: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def window(p: int, w: int) -> tuple[int, int]:
-        if (p, w) not in windows:
-            q = p**w
-            windows[p, w] = q, top_term_residue(terms, q)
-        return windows[p, w]
+    @cache
+    def window(p: int, w: int) -> tuple[int, list[int]]:
+        q = p**w
+        return q, term_residues(n, q)
 
     def color(block: tuple[int, ...]) -> int:
-        if block[-1] < n:
-            return 1 + f.evaluate(sum(map(terms.__getitem__, block)))
-        r = sum(map(terms.__getitem__, block[:-1]))
         total = 0
         for p, c in support:
             w = 64
             while True:
-                q, top = window(p, w)
-                if x := (r + top) % q:
+                q, residues = window(p, w)
+                if x := sum(map(residues.__getitem__, block)) % q:
                     break
                 w <<= 1
             total += valuation(x, p) * c
@@ -163,9 +155,9 @@ def ip_witness_direct(
     """
     if m < 1:
         raise ValueError(f"generator count must be >= 1, got {m}")
+    limit = node_limit(node_budget)
     pairs = find_runs(f, 2, bound)
     inside = set(pairs)
-    limit = math.inf if node_budget is None else node_budget
     nodes = 0
 
     def extend(chosen: list[int], sums: list[int], start: int):
@@ -210,11 +202,10 @@ def ip_witness_from_proof(
     every generator subset sum s to satisfy f(s) = f(s + 1) = class 0:
     s and s + 1 are quotients by b_1 of two closure sums.
 
-    Blocks are colored from s_0..s_{n_prefix - 1} and residues of
-    s_{n_prefix} (see block_sum_coloring); s_{n_prefix} itself is
-    built only when the family found uses block n_prefix, and is then
-    refused past MAX_DECIMAL_DIGITS digits.  The divisibility and closure
-    checks run on the real sums.
+    Blocks are colored from residues of s_0..s_{n_prefix} (see
+    block_sum_coloring).  Terms are built once, up to the largest index
+    the family found uses, and are refused past MAX_DECIMAL_DIGITS digits
+    there.  The divisibility and closure checks run on the real sums.
 
     Needs a finite-support function: the block sums are far too large for
     any sieve.  Returns None when the finite prefix admits no family;
@@ -226,12 +217,10 @@ def ip_witness_from_proof(
         raise ValueError(f"pipeline needs m >= 2 blocks (m - 1 generators), got {m}")
     if n_prefix < 1:
         raise ValueError(f"prefix length must be >= 1, got {n_prefix}")
-    terms = block_sequence_head(n_prefix)
-    family = monochromatic_fu_search(block_sum_coloring(f, terms), m, node_budget=node_budget)
+    family = monochromatic_fu_search(block_sum_coloring(f, n_prefix), m, node_budget=node_budget)
     if family is None:
         return None
-    if family.blocks[-1][-1] == n_prefix:
-        terms = generate_block_sequence(n_prefix).terms
+    terms = generate_block_sequence(family.blocks[-1][-1]).terms
     sums = [sum(map(terms.__getitem__, block)) for block in family.blocks]
     b1 = sums[0]
     for block, b in zip(family.blocks, sums):

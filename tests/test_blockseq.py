@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from multlab.blockseq import (
     MAX_DECIMAL_DIGITS,
     BlockSequence,
-    block_sequence_head,
     blocks_ending_at,
     check_term_size,
     estimated_digits,
@@ -18,7 +17,7 @@ from multlab.blockseq import (
     normalize_index_set,
     precedes,
     subset_sum,
-    top_term_residue,
+    term_residues,
     verify_block_divisibility,
 )
 
@@ -61,13 +60,9 @@ def test_terms_past_the_digit_limit_are_refused_before_any_product():
         check_term_size(8)
     with pytest.raises(ValueError, match="refusing s_8"):
         generate_block_sequence(8)
-    with pytest.raises(ValueError, match="refusing s_8"):
-        block_sequence_head(9)
     # a huge index is refused without forming its digit estimate
     with pytest.raises(ValueError, match=r"refusing s_1000000: .* roughly 332 \* 2\^"):
         generate_block_sequence(10**6)
-    with pytest.raises(ValueError, match=r"refusing s_999999: .* roughly 332 \* 2\^"):
-        block_sequence_head(10**6)
 
 
 def test_digit_estimates_stop_at_s11():
@@ -79,11 +74,12 @@ def test_digit_estimates_stop_at_s11():
     assert time.perf_counter() - start < 1
 
 
-@given(st.integers(0, 6), st.integers(2, 2**80))
-def test_head_and_top_residue_agree_with_the_sequence(n, q):
-    terms = generate_block_sequence(n).terms
-    assert block_sequence_head(n) == terms[:-1]
-    assert top_term_residue(terms[:-1], q) == terms[-1] % q
+@given(st.integers(0, 6), st.one_of(
+    st.integers(1, 2**80),
+    st.builds(pow, st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 300)),
+))
+def test_term_residues_agree_with_the_sequence(n, q):
+    assert term_residues(n, q) == [t % q for t in generate_block_sequence(n).terms]
 
 
 def test_sequence_validation():

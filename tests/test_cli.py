@@ -208,14 +208,23 @@ def test_blockseq_refuses_s8_at_once(capsys):
     assert "Traceback" not in err
 
 
-def test_hindman_function_coloring_at_n8_builds_only_the_head():
-    # s_8 is past the digit cap; the family lies within {1..6}
+def test_hindman_function_coloring_at_n8_finds_a_family_below_8():
+    # s_8 is past the digit cap, but colors come from residues
     code, doc = run_json(
         "hindman", "--coloring", "function", "--k", "4", "--primes", "2:1,3:2,5:3",
         "--n", "8", "--m", "4",
     )
     assert code == 0
     assert doc["blocks"] == [[1, 2], [4], [5], [6]]
+
+
+def test_hindman_function_coloring_finds_a_family_using_block_8():
+    code, doc = run_json(
+        "hindman", "--coloring", "function", "--k", "3", "--primes", "2:1,3:2,5:1,7:2,11:1",
+        "--n", "8", "--m", "4",
+    )
+    assert (code, doc["status"], doc["color"]) == (0, "found", 1)
+    assert doc["blocks"] == [[1], [6], [7], [8]]
 
 
 # sha256 of stdout, recorded from the implementation that colored every
@@ -621,7 +630,8 @@ BOUNDARY_CASES = [
      "random coloring tabulates 2^n - 1 subsets; n = 40 exceeds the cap 20"),
     ("hindman --n 9 --m 4 --coloring function --k 4 --primes 2:1", 1, REFUSING_S8),
     ("hindman --n 12 --m 6 --coloring random --node-budget 5", 2, None),
-    ("hindman --n 4 --m 2 --coloring size-parity --node-budget 0", 2, None),
+    ("hindman --n 4 --m 2 --coloring size-parity --node-budget 0", 1,
+     "node budget must be >= 1, got 0"),
     ("witness --method proof --m 2 --n-prefix 3 --bound 10 --k 1", 1,
      "--bound applies only to --method direct"),
     ("witness --method proof --m 2 --k 1", 1, "--method proof needs --n-prefix"),
@@ -639,7 +649,8 @@ BOUNDARY_CASES = [
     ("witness --method proof --m 4 --n-prefix 5 --k 2 --primes 2:1,3:1,5:1 --node-budget 1", 2,
      None),
     ("witness --method proof --k 4 --primes 2:1 --m 4 --n-prefix 9", 1, REFUSING_S8),
-    ("witness --method proof --m 2 --n-prefix 3 --k 1 --node-budget 0", 2, None),
+    ("witness --method proof --m 2 --n-prefix 3 --k 1 --node-budget 0", 1,
+     "node budget must be >= 1, got 0"),
     ("verify-witness missing.json", 1,
      "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
     ("verify-witness broken.json", 1, NOT_JSON),

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from multlab.hindman import (
     SearchBudgetExceeded,
     SubsetColoring,
     _block_of,
+    _mask_of,
     fu_closure,
     max_parity_coloring,
     monochromatic_fu_search,
@@ -145,7 +147,8 @@ def test_search_matches_tuple_engine_and_its_node_count(n, classes, m, seed):
     expected, nodes = naive_fu_search(table.__getitem__, n, m)
     family = monochromatic_fu_search(coloring, m, node_budget=nodes)
     assert (family.blocks if family else None) == expected
-    with pytest.raises(SearchBudgetExceeded):
+    # one node short stops the search; a budget of 0 is refused outright
+    with pytest.raises(SearchBudgetExceeded if nodes > 1 else ValueError):
         monochromatic_fu_search(coloring, m, node_budget=nodes - 1)
 
 
@@ -172,7 +175,7 @@ def test_table_path_matches_tuple_engine_and_its_node_count(n, classes, m, seed)
     table_only = dataclasses.replace(coloring, color=no_calls)
     family = monochromatic_fu_search(table_only, m, node_budget=nodes)
     assert (family.blocks if family else None) == expected
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded if nodes > 1 else ValueError):
         monochromatic_fu_search(table_only, m, node_budget=nodes - 1)
 
 
@@ -199,3 +202,36 @@ def test_wide_universe_allocates_nothing_up_front():
     family = monochromatic_fu_search(max_parity_coloring(60), 3)
     assert family.blocks == ((1,), (2, 3), (4, 5))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("make, oracle", [
+    (size_parity_coloring, lambda block: 1 + len(block) % 2),
+    (max_parity_coloring, lambda block: 1 + block[-1] % 2),
+])
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_parity_tables_color_by_size_and_largest_element(make, oracle, n):
+    coloring = make(n)
+    for block in all_blocks(n):
+        assert coloring.table[_mask_of(block, n)] == coloring.color_of(block) == oracle(block)
+
+
+def test_parity_coloring_search_stores_no_colors():
+    # No 2-block family starts at {1} (two odd blocks have an even union),
+    # so the search walks second blocks until the budget stops it.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded):
+            monochromatic_fu_search(size_parity_coloring(30), 2, node_budget=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_node_budget_below_one_is_refused_before_searching(budget):
+    def no_calls(block):
+        raise AssertionError("a refused budget colors nothing")
+
+    with pytest.raises(ValueError, match=f"^node budget must be >= 1, got {budget}$"):
+        monochromatic_fu_search(SubsetColoring(4, 2, no_calls), 2, node_budget=budget)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multlab import blockseq, witness
-from multlab.blockseq import block_sequence_head, generate_block_sequence, subset_sum
+from multlab.blockseq import generate_block_sequence, subset_sum
 from multlab.hindman import SearchBudgetExceeded
 from multlab.multfunc import MultiplicativeFunction
 from multlab.witness import (
@@ -96,7 +96,8 @@ def test_direct_witness_node_budget():
     for m, bound, nodes in ((1, 30, 1), (2, 30, 3), (3, 30, 24), (2, 14, 3)):
         expected = ip_witness_direct(f, m, bound)
         assert ip_witness_direct(f, m, bound, node_budget=nodes) == expected
-        with pytest.raises(SearchBudgetExceeded):
+        # one node short stops the search; a budget of 0 is refused outright
+        with pytest.raises(SearchBudgetExceeded if nodes > 1 else ValueError):
             ip_witness_direct(f, m, bound, node_budget=nodes - 1)
 
 
@@ -227,14 +228,14 @@ def test_witness_from_dict_diagnostics():
 
 
 @settings(max_examples=80)
-@given(st.integers(1, 6), st.integers(1, 6), st.data())
+@given(st.integers(1, 7), st.integers(1, 6), st.data())
 def test_block_sum_coloring_matches_the_materialized_sequence(n, k, data):
     assignment = {
         p: data.draw(st.integers(0, k - 1), label=f"class of {p}")
         for p in (2, 3, 5, 7)
     }
     f = MultiplicativeFunction.finite_support(k, assignment)
-    coloring = block_sum_coloring(f, block_sequence_head(n))
+    coloring = block_sum_coloring(f, n)
     oracle = eager_block_sum_color(f, n)
     assert coloring.n == n and coloring.classes == k
     for block in all_blocks(n):
@@ -243,7 +244,17 @@ def test_block_sum_coloring_matches_the_materialized_sequence(n, k, data):
 
 def test_block_sum_coloring_needs_a_finite_support_function():
     with pytest.raises(ValueError, match="finite-support"):
-        block_sum_coloring(liouville_prefix(), block_sequence_head(3))
+        block_sum_coloring(liouville_prefix(), 3)
+
+
+def test_block_sum_coloring_keeps_the_digit_limit_of_the_terms_before_n():
+    f = MultiplicativeFunction.finite_support(2, {2: 1})
+    assert block_sum_coloring(f, 8).color_of((8,)) == 1
+    with pytest.raises(ValueError, match="refusing s_8"):
+        block_sum_coloring(f, 9)
+    # a huge index is refused without forming its digit estimate
+    with pytest.raises(ValueError, match=r"refusing s_999999: .* roughly 332 \* 2\^"):
+        block_sum_coloring(f, 10**6)
 
 
 def record_products(monkeypatch):
@@ -275,7 +286,7 @@ def test_pipeline_at_prefix_seven_never_builds_s7(monkeypatch, k, assignment, bl
     f = MultiplicativeFunction.finite_support(k, assignment)
     w = ip_witness_from_proof(f, 4, 7)
     # s_6 is the product of 63 sums; s_7 would be one of 127.
-    assert max(factors) == 63 and generated == []
+    assert max(factors) == 63 and generated == [6]
     assert w.blocks == blocks
     assert [g.bit_length() for g in w.generators] == bits
     seq = generate_block_sequence(6)
@@ -303,3 +314,13 @@ def test_pipeline_refuses_s8_only_when_the_family_needs_it():
     f = MultiplicativeFunction.finite_support(1, {})
     with pytest.raises(ValueError, match="refusing s_8"):
         ip_witness_from_proof(f, 8, 8)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_witness_searches_refuse_a_node_budget_below_one(budget):
+    message = f"^node budget must be >= 1, got {budget}$"
+    f = MultiplicativeFunction.finite_support(2, {2: 1})
+    with pytest.raises(ValueError, match=message):
+        ip_witness_from_proof(f, 2, 3, node_budget=budget)
+    with pytest.raises(ValueError, match=message):
+        ip_witness_direct(liouville_prefix(), 2, 30, node_budget=budget)
