@@ -10,8 +10,9 @@ failed verifications; 2 when a search found nothing or ran out of budget;
 1 for usage and input validation errors.  Handlers and the library raise
 ValueError for bad or oversized input, and main alone turns it into exit 1
 with the usage line and the message.  A verified field reports the
-library's own recheck: the searches raise RuntimeError before returning
-an answer that fails it.
+library's own recheck: a sat outcome builds and rechecks its certificate
+when first read (constant reads only the one it reports), and the
+searches raise RuntimeError rather than return an answer that fails it.
 
 Results are JSON documents with a fixed key order.  Searches run
 sequentially.  Under --deterministic the output carries no wall-clock

@@ -21,6 +21,9 @@ class-minor).  Relabeling classes by a unit of Z/kZ preserves the kernel,
 so the first prime may optionally be restricted to the least class of
 each unit orbit; the restriction keeps both satisfiability and the
 lex-least answer.
+
+A sat outcome's certificate is built and rechecked by run scan when first
+read; the deepening reads only the one it reports (see hildebrand_constant).
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from itertools import chain, compress, islice, tee
 from typing import Mapping
 
@@ -64,8 +67,9 @@ class SearchOptions:
 
     def __post_init__(self):
         node_limit(self.node_budget)
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError(f"time budget must be positive, got {self.time_budget}")
+        t = self.time_budget
+        if t is not None and not 0 < t < math.inf:  # nan would never expire
+            raise ValueError(f"time budget must be {'positive' if t <= 0 else 'finite'}, got {t}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,13 @@ class AvoidanceCertificate:
         if self.B < 1:
             raise ValueError(f"avoidance bound must be >= 1, got {self.B}")
         object.__setattr__(self, "assignment", dict(self.assignment))
+        # Rosser: 2..x holds over x / ln x primes for x >= 17, so a shorter
+        # assignment misses some; refuse it before sieving to x.
+        x, n = self.limit, len(self.assignment)
+        if x >= 17 and n < (fewest := math.floor(x / math.log(x))):
+            raise ValueError(
+                f"certificate misses classes: {n} given, but 2..{x} holds at least {fewest} primes"
+            )
         required = set(compress(range(self.limit + 1), prime_flags(self.limit)))
         missing = sorted(required - set(self.assignment))
         extra = sorted(set(self.assignment) - required)
@@ -120,10 +131,26 @@ class AvoidanceCertificate:
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """An avoidance search's answer; found is (k, r, B, primes, classes) if sat.
+
+    The certificate is built and rechecked by run scan when first read, and
+    a failed recheck raises RuntimeError.  found never holds the tables.
+    """
+
     status: str
-    certificate: AvoidanceCertificate | None
     stats: SearchStats
     reason: str | None = None
+    found: tuple | None = field(default=None, repr=False)
+
+    @cached_property
+    def certificate(self) -> AvoidanceCertificate | None:
+        if self.found is None:
+            return None
+        k, r, B, primes, classes = self.found
+        cert = AvoidanceCertificate(k, r, B, dict(zip(primes, classes)))
+        if not verify_certificate(cert):
+            raise RuntimeError("internal error: satisfying assignment failed re-verification")
+        return cert
 
 
 @dataclass(frozen=True)
@@ -398,9 +425,10 @@ def avoidance_search(
     """Decide whether some assignment avoids all r-runs starting at 1..B.
 
     The scan is sequential, so a sat outcome carries the lexicographically
-    least certificate.  Every returned certificate is re-verified by
-    exhaustive run scan before it leaves the search.  _tables, built for
-    the same r and a bound >= B, replaces building tables for B alone.
+    least certificate.  It is built and rechecked by exhaustive run scan
+    when first read, after the tables are freed, and a failed recheck
+    raises RuntimeError.  _tables, built for the same r and a bound >= B,
+    replaces building tables for B alone.
     """
     _check_problem(k, r)
     if B < 1:
@@ -413,16 +441,9 @@ def avoidance_search(
     status, classes, reason, nodes, backtracks, depth = _run_dfs(
         k, tables, primes, fresh, due, windows, first, options.node_budget, deadline
     )
-    # Tables built here for B alone are garbage from now on: free them
-    # before the certificate builds its own sieves.
-    del tables, fresh, due, windows
     stats = SearchStats(nodes, backtracks, depth, time.monotonic() - t0)
-    if status != SAT:
-        return SearchOutcome(status, None, stats, reason)
-    cert = AvoidanceCertificate(k, r, B, dict(zip(primes, classes)))
-    if not verify_certificate(cert):
-        raise RuntimeError("internal error: satisfying assignment failed re-verification")
-    return SearchOutcome(SAT, cert, stats)
+    found = (k, r, B, primes, classes) if status == SAT else None
+    return SearchOutcome(status, stats, reason, found)
 
 
 def hildebrand_constant(
@@ -436,6 +457,12 @@ def hildebrand_constant(
     options are cumulative across the whole deepening; running out gives
     an unknown result carrying the deepest certificate obtained.
 
+    Only the certificate returned is built and rechecked.  That loses no
+    check: a probe falsely reporting sat at some B at or past the true
+    constant pushes the first unsat bound c' past it, so the certificate
+    for c' - 1 cannot hold and its recheck raises RuntimeError; probes
+    below the true constant are truly sat.
+
     All probes read prefix views of one set of tables, rebuilt for twice
     the probed bound (at least 64, at most B_max) whenever B passes the
     bound it covers, so the builds cost at most about twice one build at
@@ -446,8 +473,7 @@ def hildebrand_constant(
         raise ValueError(f"deepening bound must be >= 1, got {B_max}")
     nodes = backtracks = depth = 0
     t0 = time.monotonic()
-    prev_cert = None
-    tables = None
+    last_sat = tables = None
     reason = "sat-at-bmax"
 
     def tally() -> SearchStats:
@@ -477,8 +503,7 @@ def hildebrand_constant(
             reason = out.reason
             break
         if out.status == UNSAT:
-            return ConstantResult(FOUND, B, prev_cert, B - 1, tally())
-        prev_cert = out.certificate
-    return ConstantResult(
-        UNKNOWN, None, prev_cert, prev_cert.B if prev_cert else None, tally(), reason
-    )
+            return ConstantResult(FOUND, B, last_sat and last_sat.certificate, B - 1, tally())
+        last_sat = out
+    cert = last_sat and last_sat.certificate
+    return ConstantResult(UNKNOWN, None, cert, cert.B if cert else None, tally(), reason)

@@ -559,6 +559,8 @@ BOUNDARY_FILES = {
     "big.json": b'{"k": ' + b"9" * 5000 + b"}",
     "nocert.json": b'{"certificate": 5}',
     "partial.json": b'{"k": 2, "r": 2, "B": 10, "assignment": [[2, 1]]}',
+    # Refused from its length alone: sieving to B would take about 100 GB.
+    "huge.json": b'{"k": 2, "r": 2, "B": 100000000000, "assignment": []}',
     "spec.json": b'{"k": 2, "mode": "sieve-bounded", "limit": 31, "default": 1, "assignment": []}',
     "nowitness.json": b'{"witness": [1]}',
     "badwitness.json": b'{"function": {"k": 2, "mode": "finite-support", "limit": null, '
@@ -576,6 +578,8 @@ BOUNDARY_CASES = [
     ("constant --k 2 --b-max 0", 1, "deepening bound must be >= 1, got 0"),
     ("constant --k 2 --node-budget 0", 1, "node budget must be >= 1, got 0"),
     ("constant --k 2 --time-budget 0", 1, "time budget must be positive, got 0.0"),
+    ("avoid --k 2 --B 5 --time-budget nan", 1, "time budget must be finite, got nan"),
+    ("avoid --k 2 --B 5 --time-budget inf", 1, "time budget must be finite, got inf"),
     ("constant --k 3 --node-budget 100 --deterministic", 2, None),
     ("constant", 1, CONSTANT_WITHOUT_K),
     ("avoid --k 0 --B 5", 1, "modulus k must be >= 1, got 0"),
@@ -594,6 +598,9 @@ BOUNDARY_CASES = [
     ("verify-cert nocert.json", 1, "nocert.json contains no certificate"),
     ("verify-cert partial.json", 1,
      "certificate invalid: certificate misses classes for primes [3, 5, 7, 11]"),
+    ("verify-cert huge.json", 1,
+     "certificate invalid: certificate misses classes: 0 given, but 2..100000000001 holds "
+     "at least 3948131653 primes"),
     ("verify-cert spec.json", 1, "certificate field 'r' must be an integer"),
     ("runs --bound 10", 1,
      "describe the function with --spec FILE or inline flags starting at --k"),

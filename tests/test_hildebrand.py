@@ -82,6 +82,41 @@ def test_constant_gives_up_when_all_bounds_satisfiable():
     assert verify_certificate(res.certificate)
 
 
+def test_deepening_rechecks_only_the_certificate_it_returns(monkeypatch):
+    calls, verify = [], hildebrand.verify_certificate
+
+    def counting(cert):
+        calls.append(cert)
+        return verify(cert)
+
+    monkeypatch.setattr(hildebrand, "verify_certificate", counting)
+    res = hildebrand_constant(4, 1300)
+    assert (res.status, res.c, res.certificate_for) == (FOUND, 1224, 1223)
+    assert (res.stats.nodes, res.stats.backtracks) == (199554, 66141)
+    assert calls == [res.certificate]
+    assert res.certificate == avoidance_search(4, 2, 1223).certificate
+    calls.clear()
+    res = hildebrand_constant(2, 6)
+    assert (res.status, res.certificate_for) == (UNKNOWN, 6)
+    assert calls == [res.certificate]
+    calls.clear()
+    res = hildebrand_constant(1, 5)
+    assert (res.status, res.certificate, calls) == (FOUND, None, [])
+
+
+def test_a_false_sat_fails_the_one_recheck(monkeypatch):
+    def all_kernel(k, tables, primes, *rest):
+        return SAT, [0] * len(primes), None, len(primes), 0, len(primes)
+
+    monkeypatch.setattr(hildebrand, "_run_dfs", all_kernel)
+    out = avoidance_search(2, 2, 8)
+    assert out.status == SAT
+    with pytest.raises(RuntimeError, match="failed re-verification"):
+        out.certificate
+    with pytest.raises(RuntimeError, match="failed re-verification"):
+        hildebrand_constant(2, 20)
+
+
 def test_symmetry_reduction_preserves_lex_least_answers():
     red = SearchOptions(symmetry_reduction=True)
     for k in (2, 3, 4):
