@@ -10,13 +10,15 @@ sum s_B is a sum of multiples of s_A and s_A | s_B.  Growth is doubly
 exponential, hence the digit limit on every term built.  The same
 recurrence taken mod q gives s_0..s_n mod q (term_residues) without
 forming any term, which is all a p-adic valuation of a block sum needs.
+Every finite-sum or finite-union closure in multlab is all_subset_sums,
+but for fs_closure (it drops repeats) and the searches (they grow theirs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import eq
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # Most decimal digits of a term built here, and of a decimal string a
 # witness document may hold.  s_7 has 710 086 digits; s_8 would have about
@@ -47,22 +49,6 @@ def precedes(a: Sequence[int], b: Sequence[int]) -> bool:
     if not a or not b:
         raise ValueError("separation order is defined on nonempty index sets")
     return max(a) < min(b)
-
-
-def blocks_ending_at(lo: int, mx: int) -> Iterator[tuple[int, ...]]:
-    """Subsets of {lo..mx} containing mx, in lexicographic tuple order."""
-    if lo == mx:
-        yield (mx,)
-        return
-    for tail in blocks_ending_at(lo + 1, mx):
-        yield (lo,) + tail
-    yield from blocks_ending_at(lo + 1, mx)
-
-
-def nonempty_subsets_in_block_order(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """All nonempty subsets of {lo..hi}, ordered by max element then lex."""
-    for mx in range(lo, hi + 1):
-        yield from blocks_ending_at(lo, mx)
 
 
 def _term_text(t: int) -> str:
@@ -114,11 +100,12 @@ def subset_sum(seq: BlockSequence, indices: Iterable[int]) -> int:
     return sum(seq.terms[i] for i in block)
 
 
-def _all_subset_sums(terms: Sequence[int]) -> list[int]:
-    """sums[mask] = sum of terms[i] over set bits of mask, one term at a time."""
-    sums = [0]
-    for t in terms:
-        sums += [s + t for s in sums]
+def all_subset_sums(items: Sequence, empty=0) -> list:
+    """sums[mask] = empty plus the items[i] at the set bits i of mask, added
+    by increasing i: tuples concatenate in order, disjoint bitmasks unite."""
+    sums = [empty]
+    for item in items:
+        sums += [s + item for s in sums]
     return sums
 
 
@@ -179,7 +166,7 @@ def term_residues(n: int, q: int) -> list[int]:
     residues = [1 % q]
     for _ in range(n):
         top = 1
-        for s in _all_subset_sums(residues)[1:]:
+        for s in all_subset_sums(residues)[1:]:
             top = top * s % q
         residues.append(top)
     return residues
@@ -197,7 +184,7 @@ def generate_block_sequence(n: int) -> BlockSequence:
     check_term_size(n)
     terms = [1]
     for _ in range(n):
-        terms.append(_balanced_product(_all_subset_sums(terms)[1:]))
+        terms.append(_balanced_product(all_subset_sums(terms)[1:]))
     return BlockSequence(terms)
 
 
@@ -230,7 +217,7 @@ def verify_block_divisibility(seq: BlockSequence) -> DivisibilityReport:
     reported, or the pass if none fails.
     """
     terms = seq.terms
-    head = _all_subset_sums(terms[:-1])
+    head = all_subset_sums(terms[:-1])
     for lo in range(1, len(terms)):
         q = _balanced_product(head[1 : 1 << lo])
         if terms[lo] != q and terms[lo] % q:
@@ -239,16 +226,16 @@ def verify_block_divisibility(seq: BlockSequence) -> DivisibilityReport:
 
 
 def _pairwise_divisibility(seq: BlockSequence) -> DivisibilityReport:
-    """Scan the pairs one by one in block order, up to the first failure."""
-    last = seq.n
+    """Scan the pairs in block order, up to the first failure; each A keeps
+    only the blocks starting above max A for B."""
+    blocks = all_subset_sums([(i,) for i in range(len(seq.terms))], ())
+    order = sorted(zip(blocks[1:], all_subset_sums(seq.terms)[1:]), key=lambda e: (e[0][-1], e[0]))
     checked = 0
-    for a in nonempty_subsets_in_block_order(0, last):
-        sa = subset_sum(seq, a)
-        lo = a[-1] + 1
-        if lo > last:
-            continue
-        for b in nonempty_subsets_in_block_order(lo, last):
+    later = order
+    for a, sa in order:
+        later = [e for e in later if e[0][0] > a[-1]]
+        for b, sb in later:
             checked += 1
-            if subset_sum(seq, b) % sa != 0:
+            if sb % sa:
                 return DivisibilityReport(False, checked, (a, b))
     return DivisibilityReport(True, checked)

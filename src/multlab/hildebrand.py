@@ -49,6 +49,8 @@ _CHECK_MASK = 0xFF
 # The search builds k-entry tuples and k-bit masks per prime; refuse larger
 # k before any of them is made.
 MAX_MODULUS = 2**16
+# Most of 1..B + r - 1 the search tables cover; avoid --k 6 --B 10**6 takes 160 MiB.
+MAX_TABLE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,8 @@ class _Tables:
         self.r = r
         self.bound = bound
         limit = bound + r - 1
+        if limit > MAX_TABLE_LIMIT:
+            raise ValueError(f"B + r - 1 = {limit} exceeds the search table cap {MAX_TABLE_LIMIT}")
         sieve = build_sieve(limit)
         spf = sieve.spf
         self.primes = primes = sieve.primes()
@@ -494,7 +498,7 @@ def hildebrand_constant(
                 break
             opts = replace(opts, time_budget=left_t)
         if tables is None or B > tables.bound:
-            tables = _Tables(r, min(B_max, max(2 * B, 64)))
+            tables = _Tables(r, max(B, min(B_max, max(2 * B, 64), MAX_TABLE_LIMIT - r + 1)))
         out = avoidance_search(k, r, B, opts, _tables=tables)
         nodes += out.stats.nodes
         backtracks += out.stats.backtracks

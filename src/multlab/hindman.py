@@ -21,10 +21,9 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import cache
-from itertools import chain
 from typing import Callable, Sequence
 
-from .blockseq import normalize_index_set, precedes
+from .blockseq import all_subset_sums, normalize_index_set, precedes
 
 Block = tuple[int, ...]
 
@@ -100,15 +99,11 @@ class BlockFamily:
 def fu_closure(family: BlockFamily) -> list[Block]:
     """Unions of nonempty subcollections, in subcollection-bitmask order.
 
-    Bit i of the mask selects block A_{i+1}; separation makes the unions
-    pairwise distinct and concatenation-in-order already sorted.
+    Bit i of the mask selects block A_{i+1}.  The unions are the subset
+    sums of the blocks as tuples: separation makes them pairwise distinct,
+    and concatenation in block order already sorted.
     """
-    blocks = family.blocks
-    out = []
-    for mask in range(1, 1 << len(blocks)):
-        parts = (blocks[i] for i in range(len(blocks)) if mask >> i & 1)
-        out.append(tuple(chain.from_iterable(parts)))
-    return out
+    return all_subset_sums(family.blocks, ())[1:]
 
 
 def _block_masks(lo: int, mx: int, n: int) -> range:
@@ -159,12 +154,10 @@ def monochromatic_fu_search(
     extended only while every union formed so far has the color of A_1,
     which is exactly the hereditary restriction of the final condition.
     A candidate is checked alone first, then joined to each earlier union
-    in turn, and dropped at the first other color.  Blocks and unions are
-    bitmasks (see _block_masks), so a union is one `|`.  A coloring with a
-    table is read from it by mask, and color_of is not called during the
-    search.  Otherwise each subset is colored through coloring.color_of at
-    most once, and memory grows with the subsets actually colored, never
-    with 2^n up front.
+    in turn, and dropped at the first other color.  Colors are read by mask
+    as the module docstring says, so a coloring without a table costs memory
+    for the subsets colored, never 2^n up front.  The family found is
+    rechecked on the subset sums of its masks.
 
     Returns None when the finite universe is exhausted; raises
     SearchBudgetExceeded if node_budget candidate blocks were examined
@@ -208,8 +201,7 @@ def monochromatic_fu_search(
     if found is None:
         return None
     family = BlockFamily(tuple(_block_of(block, n) for block in found))
-    colors = {color[_mask_of(u, n)] for u in fu_closure(family)}
-    if len(colors) != 1:
+    if len({color[u] for u in all_subset_sums(found)[1:]}) != 1:
         raise RuntimeError(f"search returned a non-monochromatic family {family.blocks}")
     return family
 

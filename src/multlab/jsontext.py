@@ -14,8 +14,6 @@ import json
 
 # Items per piece of a flat list; bounds the strings alive at once.
 _FLAT_SLICE = 4096
-# Int lists up to this length are joined directly: cheaper than an encoder.
-_SHORT_INTS = 64
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _INTS = frozenset({int})
 _ROWS = frozenset({list, tuple})
@@ -25,13 +23,10 @@ def json_chunks(value, indent: str = ""):
     """Pieces whose concatenation is json.dumps(value, indent=2).
 
     A non-empty list of scalars is encoded slice by slice by json's C
-    encoder, with the indented item separator as its separator, or, if it
-    is a short list of exact ints, by one join of their reprs (bools print
-    as true/false, so they do not qualify).  A list of exact-int lists,
-    such as [prime, class] pairs, is written in one pass.  Other
-    containers recurse;
-    keys and other values go to json.dumps.  indent is the indentation of
-    the line the value ends on.
+    encoder, with the indented item separator as its separator.  A list of
+    exact-int lists, such as [prime, class] pairs, is written in one pass.
+    Other containers recurse; keys and other values go to json.dumps.
+    indent is the indentation of the line the value ends on.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -59,8 +54,6 @@ def json_chunks(value, indent: str = ""):
                 if i:
                     yield sep
                 yield from json_chunks(item, inner)
-        elif types == {int} and len(value) <= _SHORT_INTS:
-            yield sep.join(map(int.__repr__, value))
         else:
             for i in range(0, len(value), _FLAT_SLICE):
                 if i:

@@ -30,6 +30,8 @@ from .arith import PRIME_TEST_BOUND, is_prime, prime_flags, valuation
 
 FINITE_SUPPORT = "finite-support"
 SIEVE_BOUNDED = "sieve-bounded"
+# Most entries of a class table; runs --bound 10**7 peaks at 170-320 MiB.
+MAX_TABLE_UPTO = 10**8
 
 
 @dataclass(frozen=True)
@@ -216,6 +218,8 @@ def class_table(f: MultiplicativeFunction, upto: int) -> bytearray | list[int]:
     """
     if upto < 1:
         raise ValueError(f"class_table needs upto >= 1, got {upto}")
+    if upto > MAX_TABLE_UPTO:
+        raise ValueError(f"class table up to {upto} exceeds the cap {MAX_TABLE_UPTO}")
     if f.mode == SIEVE_BOUNDED and upto > f.limit:
         raise ValueError(f"{upto} exceeds evaluable range 1..{f.limit}")
     k = f.k

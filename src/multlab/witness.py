@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from functools import cache
 
 from .arith import decimal_to_int, int_to_decimal, valuation
-from .blockseq import MAX_DECIMAL_DIGITS, check_term_size, generate_block_sequence, term_residues
+from .blockseq import (
+    MAX_DECIMAL_DIGITS,
+    all_subset_sums,
+    check_term_size,
+    generate_block_sequence,
+    term_residues,
+)
 from .hindman import (
     BlockFamily,
     SearchBudgetExceeded,
@@ -43,6 +49,9 @@ from .multfunc import (
 
 PROOF_PIPELINE = "proof-pipeline"
 DIRECT_SEARCH = "direct-search"
+
+# Most generators of a witness: 2^20 subset sums, random_coloring's bound.
+MAX_GENERATORS = 20
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,8 @@ class IPWitness:
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise ValueError("witness needs at least one generator")
+        if len(gens) > MAX_GENERATORS:
+            raise ValueError(f"{len(gens)} generators exceed the cap {MAX_GENERATORS}")
         if gens[0] < 1 or any(a >= b for a, b in zip(gens, gens[1:])):
             raise ValueError(f"generators must be positive and strictly increasing: {gens}")
         if self.blocks is not None:
@@ -155,6 +166,8 @@ def ip_witness_direct(
     """
     if m < 1:
         raise ValueError(f"generator count must be >= 1, got {m}")
+    if m > MAX_GENERATORS:
+        raise ValueError(f"generator count m = {m} exceeds the cap {MAX_GENERATORS}")
     limit = node_limit(node_budget)
     pairs = find_runs(f, 2, bound)
     inside = set(pairs)
@@ -205,7 +218,8 @@ def ip_witness_from_proof(
     Blocks are colored from residues of s_0..s_{n_prefix} (see
     block_sum_coloring).  Terms are built once, up to the largest index
     the family found uses, and are refused past MAX_DECIMAL_DIGITS digits
-    there.  The divisibility and closure checks run on the real sums.
+    there.  The checks sum block sums into union sums, so the first sum
+    b_1 fails to divide is a block's.
 
     Needs a finite-support function: the block sums are far too large for
     any sieve.  Returns None when the finite prefix admits no family;
@@ -223,22 +237,15 @@ def ip_witness_from_proof(
     terms = generate_block_sequence(family.blocks[-1][-1]).terms
     sums = [sum(map(terms.__getitem__, block)) for block in family.blocks]
     b1 = sums[0]
-    for block, b in zip(family.blocks, sums):
-        if b % b1:
-            raise RuntimeError(
-                f"block divisibility failed: s_{family.blocks[0]} does not divide s_{block}"
-            )
     base = f.evaluate(b1)
-    for union in fu_closure(family):
-        if f.evaluate(sum(map(terms.__getitem__, union))) != base:
+    for union, s in zip(fu_closure(family), all_subset_sums(sums)[1:]):
+        if s % b1:
+            raise RuntimeError(
+                f"block divisibility failed: s_{family.blocks[0]} does not divide s_{union}"
+            )
+        if f.evaluate(s) != base:
             raise RuntimeError(f"class not constant on the union closure at {union}")
-    witness = IPWitness(
-        f,
-        b1,
-        tuple(b // b1 for b in sums[1:]),
-        PROOF_PIPELINE,
-        blocks=family.blocks,
-    )
+    witness = IPWitness(f, b1, tuple(b // b1 for b in sums[1:]), PROOF_PIPELINE, family.blocks)
     if not verify_witness(witness):
         raise RuntimeError("pipeline produced an invalid witness")
     return witness

@@ -12,11 +12,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from multlab.arith import build_sieve
-from multlab.blockseq import (
-    generate_block_sequence,
-    nonempty_subsets_in_block_order,
-    subset_sum,
-)
+from multlab.blockseq import generate_block_sequence, subset_sum
 from multlab.hildebrand import FOUND, SAT, UNKNOWN, UNSAT, avoidance_search
 
 
@@ -68,12 +64,17 @@ def brute_force_avoidance(k, r, B):
     return False, None
 
 
+def block_order(lo, hi):
+    """Nonempty subsets of {lo..hi} sorted by (max element, tuple content)."""
+    out = []
+    for size in range(1, hi - lo + 2):
+        out.extend(combinations(range(lo, hi + 1), size))
+    return sorted(out, key=lambda b: (max(b), b))
+
+
 def all_blocks(n):
-    """Nonempty subsets of {1..n} sorted by (max element, tuple content)."""
-    blocks = []
-    for size in range(1, n + 1):
-        blocks.extend(combinations(range(1, n + 1), size))
-    return sorted(blocks, key=lambda b: (max(b), b))
+    """Nonempty subsets of {1..n} in block order."""
+    return block_order(1, n)
 
 
 def union_closure(blocks):
@@ -121,7 +122,7 @@ def naive_fu_search(color, n, m):
         nonlocal nodes
         if len(chosen) == m:
             return tuple(chosen)
-        for block in nonempty_subsets_in_block_order(lo, n):
+        for block in block_order(lo, n):
             nodes += 1
             if chosen:
                 grown = [block] + [u + block for u in unions]
@@ -174,17 +175,11 @@ def naive_block_divisibility(terms):
     subsets of 0..n, then B over the nonempty subsets of max(A)+1..n; the
     scan stops at the first B whose sum is not a multiple of A's sum.
     """
-    def blocks(lo, hi):
-        out = []
-        for size in range(1, hi - lo + 2):
-            out.extend(combinations(range(lo, hi + 1), size))
-        return sorted(out, key=lambda b: (max(b), b))
-
     n = len(terms) - 1
     checked = 0
-    for a in blocks(0, n):
+    for a in block_order(0, n):
         sa = sum(terms[i] for i in a)
-        for b in blocks(max(a) + 1, n):
+        for b in block_order(max(a) + 1, n):
             checked += 1
             if sum(terms[i] for i in b) % sa:
                 return False, checked, (a, b)

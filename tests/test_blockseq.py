@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from multlab.blockseq import (
     MAX_DECIMAL_DIGITS,
     BlockSequence,
-    blocks_ending_at,
     check_term_size,
     estimated_digits,
     generate_block_sequence,
-    nonempty_subsets_in_block_order,
     normalize_index_set,
     precedes,
     subset_sum,
@@ -21,7 +19,7 @@ from multlab.blockseq import (
     verify_block_divisibility,
 )
 
-from oracles import naive_block_divisibility, powerset_sums
+from oracles import block_order, naive_block_divisibility, powerset_sums
 
 
 def test_frozen_initial_terms():
@@ -175,29 +173,6 @@ def test_subset_sum_and_validation():
         subset_sum(seq, [1, 1])
 
 
-def test_block_order_enumeration():
-    blocks = list(nonempty_subsets_in_block_order(1, 3))
-    assert blocks == [
-        (1,),
-        (1, 2),
-        (2,),
-        (1, 2, 3),
-        (1, 3),
-        (2, 3),
-        (3,),
-    ]
-    assert blocks == sorted(blocks, key=lambda b: (max(b), b))
-    assert list(blocks_ending_at(1, 3)) == [(1, 2, 3), (1, 3), (2, 3), (3,)]
-
-
-@given(st.integers(min_value=0, max_value=5))
-def test_block_order_is_a_permutation_of_all_subsets(hi):
-    blocks = list(nonempty_subsets_in_block_order(0, hi))
-    assert len(blocks) == 2 ** (hi + 1) - 1
-    assert len(set(blocks)) == len(blocks)
-    assert [max(b) for b in blocks] == sorted(max(b) for b in blocks)
-
-
 def test_normalize_and_precedes():
     assert normalize_index_set([3, 1]) == (1, 3)
     assert precedes((1, 2), (3,))
@@ -225,5 +200,5 @@ def test_separated_subset_sums_divide(n, data):
 def test_every_nonempty_subset_sum_appears_in_powerset_oracle():
     seq = generate_block_sequence(4)
     sums = sorted(powerset_sums(seq.terms))
-    for block in nonempty_subsets_in_block_order(0, 4):
+    for block in block_order(0, 4):
         assert subset_sum(seq, block) in sums

@@ -569,6 +569,9 @@ BOUNDARY_FILES = {
     "unchecked.json": b'{"witness": {"function": {"k": 2, "mode": "sieve-bounded", "limit": 31, '
                       b'"default": 1, "assignment": []}, "provenance": "direct-search", '
                       b'"generators": ["40"]}}',
+    # 2^40 distinct subset sums: refused from the generator count alone.
+    "pow2.json": b'{"function": {"k": 2, "assignment": [[2, 1]]}, "provenance": "direct-search", '
+                 b'"generators": [' + ", ".join(str(1 << i) for i in range(40)).encode() + b"]}",
 }
 # (command line, exit code, message); a message with a newline is the whole
 # of stderr, None marks an exhausted budget.
@@ -587,6 +590,11 @@ BOUNDARY_CASES = [
     ("avoid --k 2 --r 1 --B 5", 1, "run length must be >= 2, got 1"),
     ("avoid --k 5 --B 7888 --node-budget 10 --deterministic", 2, None),
     ("avoid --k x --B 5", 1, AVOID_BAD_INT),
+    ("avoid --k 2 --B 100000000000", 1,
+     "B + r - 1 = 100000000001 exceeds the search table cap 10000000"),
+    ("avoid --k 2 --r 100000000000 --B 5", 1,
+     "B + r - 1 = 100000000004 exceeds the search table cap 10000000"),
+    ("constant --k 2 --b-max 100000000000 --node-budget 10 --deterministic", 2, None),
     ("verify-cert missing.json", 1,
      "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
     ("verify-cert broken.json", 1, NOT_JSON),
@@ -615,6 +623,8 @@ BOUNDARY_CASES = [
     ("runs --bound 10 --k 0", 1, "modulus k must be >= 1, got 0"),
     ("runs --bound 10 --k 2 --primes 2:1,3", 1, "--primes entry '3' is not of the form p:c"),
     ("runs --bound 10 --k 2 --primes 4:1", 1, "assignment key 4 is not prime"),
+    ("runs --k 2 --primes 2:1 --bound 100000000000", 1,
+     "class table up to 100000000001 exceeds the cap 100000000"),
     ("blockseq --n -1", 1, "term count index must be >= 0, got -1"),
     ("blockseq --n 8", 1, REFUSING_S8),
     ("blockseq --n 40", 1,
@@ -652,6 +662,10 @@ BOUNDARY_CASES = [
     ("witness --method proof --m 2 --n-prefix 0 --k 1", 1, "prefix length must be >= 1, got 0"),
     (f"witness --method direct --m 0 --bound 30 {LIOU}", 1, "generator count must be >= 1, got 0"),
     (f"witness --method direct --m 2 --bound 40 {LIOU}", 1, "41 exceeds evaluable range 1..31"),
+    ("witness --method direct --k 2 --primes 2:1 --m 2 --bound 100000000000", 1,
+     "class table up to 100000000001 exceeds the cap 100000000"),
+    ("witness --method direct --k 2 --primes 2:1 --m 21 --bound 100000000000", 1,
+     "generator count m = 21 exceeds the cap 20"),
     (f"witness --method direct --m 3 --bound 30 {LIOU} --node-budget 2", 2, None),
     ("witness --method proof --m 4 --n-prefix 5 --k 2 --primes 2:1,3:1,5:1 --node-budget 1", 2,
      None),
@@ -664,6 +678,7 @@ BOUNDARY_CASES = [
     ("verify-witness nowitness.json", 1, "nowitness.json contains no witness"),
     ("verify-witness badwitness.json", 1,
      "witness field 'provenance' must be 'proof-pipeline' or 'direct-search'"),
+    ("verify-witness pow2.json", 1, "witness invalid: 40 generators exceed the cap 20"),
     ("verify-witness unchecked.json", 1,
      "witness is not checkable: 40 exceeds evaluable range 1..31"),
     ("verify-witness big.json", 1,

@@ -224,6 +224,25 @@ def test_modulus_past_the_cap_is_refused_before_any_table(monkeypatch):
     assert avoidance_search(MAX_MODULUS, 2, 10).status == SAT
 
 
+def test_tables_past_the_cap_are_refused_before_any_sieve(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("sieve built")
+
+    monkeypatch.setattr(hildebrand, "build_sieve", no_sieve)
+    cap = hildebrand.MAX_TABLE_LIMIT
+    for k, r, B in [(2, 2, cap), (2, 3, cap - 1), (2, 10**11, 5), (2, 2, 10**11)]:
+        with pytest.raises(ValueError, match=f"^B \\+ r - 1 = {B + r - 1} exceeds the search "
+                                             f"table cap {cap}$"):
+            avoidance_search(k, r, B)
+    with pytest.raises(ValueError, match="exceeds the search table cap"):
+        hildebrand_constant(2, 5, r=cap + 1)
+    # B + r - 1 at the cap itself passes the check and reaches the sieve.
+    with pytest.raises(AssertionError, match="sieve built"):
+        avoidance_search(2, 3, cap - 2)
+    with pytest.raises(AssertionError, match="sieve built"):
+        hildebrand_constant(2, 10**11, r=cap)
+
+
 def test_certificate_requires_complete_assignment():
     with pytest.raises(ValueError, match="misses"):
         AvoidanceCertificate(2, 2, 8, {2: 1, 3: 1, 5: 1})

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multlab import multfunc
 from multlab.arith import build_sieve
 from multlab.multfunc import (
     FINITE_SUPPORT,
@@ -105,6 +106,23 @@ def test_key_checks_and_tables_never_allocate_by_limit():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_class_table_past_the_cap_is_refused_before_any_allocation(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table allocated")
+
+    cap = multfunc.MAX_TABLE_UPTO
+    monkeypatch.setattr(multfunc, "bytearray", no_table, raising=False)
+    monkeypatch.setattr(multfunc, "prime_flags", no_table)
+    liouville = MultiplicativeFunction.sieve_bounded(2, {}, 10**12, default_class=1)
+    for upto in (cap + 1, 10**11):
+        with pytest.raises(ValueError, match=f"^class table up to {upto} exceeds the cap {cap}$"):
+            class_table(liouville, upto)
+    with pytest.raises(ValueError, match=f"^class table up to {10**11 + 1} exceeds the cap"):
+        find_runs(liouville, 2, 10**11)
+    with pytest.raises(AssertionError, match="table allocated"):
+        class_table(liouville, cap)
 
 
 def test_evaluate_at_one_is_kernel():

@@ -10,6 +10,7 @@ from multlab.witness import (
     DIRECT_SEARCH,
     PROOF_PIPELINE,
     MAX_DECIMAL_DIGITS,
+    MAX_GENERATORS,
     IPWitness,
     block_sum_coloring,
     fs_closure,
@@ -54,6 +55,21 @@ def test_witness_validation():
         IPWitness(f, 0, (9,), DIRECT_SEARCH)
     with pytest.raises(ValueError):
         IPWitness(f, 1, (9,), "folklore")
+
+
+def test_generator_count_is_capped_before_any_closure(monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("closure formed")
+
+    monkeypatch.setattr(witness, "fs_closure", no_closure)
+    monkeypatch.setattr(witness, "find_runs", no_closure)
+    f = MultiplicativeFunction.finite_support(2, {2: 1})
+    powers = tuple(1 << i for i in range(40))
+    with pytest.raises(ValueError, match="^40 generators exceed the cap 20$"):
+        IPWitness(f, 1, powers, DIRECT_SEARCH)
+    assert IPWitness(f, 1, powers[:MAX_GENERATORS], DIRECT_SEARCH).generators[-1] == 1 << 19
+    with pytest.raises(ValueError, match="^generator count m = 21 exceeds the cap 20$"):
+        ip_witness_direct(f, MAX_GENERATORS + 1, 10**11)
 
 
 def test_direct_witness_on_omega_parity_prefix():
