@@ -125,6 +125,16 @@ def test_runs_plain_lists_starting_points():
     assert out.split() == ["9", "14", "15", "21", "24", "25"]
 
 
+def test_runs_plain_is_one_start_per_line_past_one_slice():
+    flags = ["runs", "--bound", "100000", "--k", "2", "--mode", "sieve-bounded",
+             "--limit", "100001", "--default", "1"]
+    code, doc = run_json(*flags)
+    assert (code, doc["count"] > 4096) == (0, True)
+    code, out, err = run(*flags, "--format", "plain")
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{a}\n" for a in doc["runs"])
+
+
 @pytest.mark.parametrize("listed", [[], ["--primes", "2:1"]])
 def test_runs_allocate_by_bound_not_by_limit(listed):
     code, out, err = run(
@@ -661,6 +671,7 @@ BOUNDARY_CASES = [
      "pipeline needs m >= 2 blocks (m - 1 generators), got 1"),
     ("witness --method proof --m 2 --n-prefix 0 --k 1", 1, "prefix length must be >= 1, got 0"),
     (f"witness --method direct --m 0 --bound 30 {LIOU}", 1, "generator count must be >= 1, got 0"),
+    (f"witness --method direct --m 2 --bound 0 {LIOU}", 1, "bound must be >= 1, got 0"),
     (f"witness --method direct --m 2 --bound 40 {LIOU}", 1, "41 exceeds evaluable range 1..31"),
     ("witness --method direct --k 2 --primes 2:1 --m 2 --bound 100000000000", 1,
      "class table up to 100000000001 exceeds the cap 100000000"),
@@ -672,6 +683,9 @@ BOUNDARY_CASES = [
     ("witness --method proof --k 4 --primes 2:1 --m 4 --n-prefix 9", 1, REFUSING_S8),
     ("witness --method proof --m 2 --n-prefix 3 --k 1 --node-budget 0", 1,
      "node budget must be >= 1, got 0"),
+    ("constant --k 2 --out missing/x.json", 1,
+     "cannot write missing/x.json: [Errno 2] No such file or directory: 'missing/x.json'"),
+    ("constant --k 2 --out .", 1, "cannot write .: [Errno 21] Is a directory: '.'"),
     ("verify-witness missing.json", 1,
      "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
     ("verify-witness broken.json", 1, NOT_JSON),
@@ -723,9 +737,6 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.mark.parametrize("script, args, message", [
-    ("witness_demo.py", "--m 1", "pipeline needs m >= 2 blocks (m - 1 generators), got 1"),
-    ("witness_demo.py", "--bound 0", "bound must be >= 1, got 0"),
-    ("witness_demo.py", "--n-prefix 0", "prefix length must be >= 1, got 0"),
     ("constants_table.py", "--b-max 0", "deepening bound must be >= 1, got 0"),
     ("constants_table.py", "--node-budget 0", "node budget must be >= 1, got 0"),
 ])
@@ -734,10 +745,3 @@ def test_scripts_refuse_out_of_range_arguments(script, args, message):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr == f"{script[:-3]}: error: {message}\n"
-
-
-def test_witness_demo_prints_terms_past_the_int_str_limit():
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "witness_demo.py"), "--n-prefix", "6"],
-                          capture_output=True, text=True)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert "<10925 digits>" in proc.stdout
