@@ -22,7 +22,10 @@ times, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
 from dataclasses import asdict
 
@@ -230,6 +233,21 @@ def _emit(args, doc: dict, plain: str | None = None):
             raise ValueError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str):
+    """Refuse a directory, or a path whose parent is missing or no directory,
+    as --out before any search: open()'s message, and no file is created."""
+    try:
+        if path.endswith("/") or os.path.isdir(path):
+            code = errno.EISDIR
+        elif not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            code = errno.ENOTDIR
+        else:
+            return
+    except OSError as exc:
+        code = exc.errno
+    raise ValueError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def cmd_constant(args) -> int:
@@ -499,6 +517,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.handler(args)
     except ValueError as exc:
         parser.error(str(exc))

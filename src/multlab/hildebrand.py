@@ -218,7 +218,7 @@ class _Tables:
     Each n >= 2 is in exactly one fresh or due list, so an integer no
     window reads until deep in the search costs nothing before then.  The
     lists are appended in increasing order, so the tables of any B <= bound
-    are a prefix of each; view(B) cuts them out.
+    are a prefix of each, and a smaller B only drops readers.
     """
 
     def __init__(self, r: int, bound: int):
@@ -268,32 +268,6 @@ class _Tables:
             i = first[n]
             (fresh if i == lpi[n] else due)[i].append(n)
 
-    def view(self, B: int):
-        """(primes, fresh, due, windows) of the problem at B <= bound.
-
-        Those are the primes up to B + r - 1 and, for each, the windows
-        starting at or before B and the integers up to B + r - 1 it writes.
-        A smaller B only drops readers, so no integer is read before the
-        search writes it.
-        """
-        if B == self.bound:
-            return self.primes, self.fresh, self.due, self.windows
-        limit = B + self.r - 1
-        nprimes = bisect_right(self.primes, limit)
-
-        def cut(lists: list[list[int]], top: int) -> list[list[int]]:
-            return [
-                xs if not xs or xs[-1] <= top else xs[: bisect_right(xs, top)]
-                for xs in lists[:nprimes]
-            ]
-
-        return (
-            self.primes[:nprimes],
-            cut(self.fresh, limit),
-            cut(self.due, limit),
-            cut(self.windows, B),
-        )
-
 
 class _ZeroMasks(dict):
     """zero[b][e]: the k-bit mask of the classes c with (b + e*c) % k == 0.
@@ -326,46 +300,49 @@ _zero_masks = lru_cache(maxsize=16)(_ZeroMasks)
 def _run_dfs(
     k: int,
     tables: _Tables,
-    primes: list[int],
-    fresh: list[list[int]],
-    due: list[list[int]],
-    windows: list[list[int]],
+    B: int,
     first_classes: list[int],
     node_budget: int | None,
     deadline: float | None,
 ):
-    """Backtracking scan; returns (status, classes, reason, nodes, backtracks, depth).
+    """Backtracking scan at B; returns (status, classes, reason, nodes, backtracks, depth).
 
-    val[n] holds the class of n under the classes currently set, and 0 for
-    the n in fresh[i] while prime index i holds none.  Entering i writes
-    val for due[i], then passes once over the windows of i for
-    forbidden[i], the mask of the classes making one of them a kernel run:
-    a window whose values all read 0 forbids those putting its element
-    owned by i in the kernel.  Trying class c tests bit c; the class kept
-    writes val for fresh[i], and exhausting i clears it.  So every value
-    read was written on the current path, and every window is tested once
-    per entry into its largest prime.  Nodes and backtracks count classes
-    tried and rejected (plus primes exhausted), as in a search testing the
-    windows of every class tried from scratch.
+    The tables are read in place, each list up to its first entry past B
+    (windows) or past top = B + r - 1 (primes, fresh and due).  val[n]
+    holds the class of n under the classes currently set, and 0 for the n
+    in fresh[i] while prime index i holds none.  Entering i writes val for
+    due[i], then passes once over the windows of i for forbidden[i], the
+    mask of the classes making one of them a kernel run: a window whose
+    values all read 0 forbids those putting its element owned by i in the
+    kernel.  Trying class c tests bit c; the class kept writes val for
+    fresh[i], and exhausting i clears it.  So every value read was written
+    on the current path, and every window is tested once per entry into
+    its largest prime.  Nodes and backtracks count classes tried and
+    rejected (plus primes exhausted), as in a search testing the windows
+    of every class tried from scratch.
     """
     r, lpi, cof, ex = tables.r, tables.lpi, tables.cof, tables.ex
-    nprimes = len(primes)
+    primes, fresh, due, windows = tables.primes, tables.fresh, tables.due, tables.windows
+    top = B + r - 1
+    nprimes = bisect_right(primes, top)
     zero = _zero_masks(k, (len(cof) - 1).bit_length())
     every, last = (1 << k) - 1, r - 1
-    val = [0] * len(cof)
-    cls = [0] * nprimes
-    forbidden = [0] * nprimes
+    val = [0] * (top + 1)
+    cls, forbidden, pos = [0] * nprimes, [0] * nprimes, [0] * nprimes
     later = tuple(range(k))
-    pos = [0] * nprimes
     nodes = backtracks = depth_reached = 0
     i = 0
     while i < nprimes:
         classes = first_classes if i == 0 else later
         if not pos[i]:
             for n in due[i]:
+                if n > top:
+                    break
                 val[n] = (val[cof[n]] + ex[n] * cls[lpi[n]]) % k
             ban, p = 0, primes[i]
             for a in windows[i]:
+                if a > B:
+                    break
                 # Most windows hold a value outside the kernel for good.
                 if val[a] or val[a + last] or any(val[a + 1 : a + last]):
                     continue
@@ -391,6 +368,8 @@ def _run_dfs(
                 continue
             cls[i] = c
             for n in fresh[i]:
+                if n > top:
+                    break
                 val[n] = (val[cof[n]] + ex[n] * c) % k
             i += 1
             if i > depth_reached:
@@ -403,6 +382,8 @@ def _run_dfs(
                 return UNSAT, None, None, nodes, backtracks, depth_reached
             if ban != every:  # some class was kept, so fresh[i] was written
                 for n in fresh[i]:
+                    if n > top:
+                        break
                     val[n] = 0
             i -= 1
             backtracks += 1
@@ -429,24 +410,22 @@ def avoidance_search(
     """Decide whether some assignment avoids all r-runs starting at 1..B.
 
     The scan is sequential, so a sat outcome carries the lexicographically
-    least certificate.  It is built and rechecked by exhaustive run scan
-    when first read, after the tables are freed, and a failed recheck
-    raises RuntimeError.  _tables, built for the same r and a bound >= B,
-    replaces building tables for B alone.
+    least certificate, built and rechecked when first read (SearchOutcome).
+    _tables, built for the same r and a bound >= B, replaces building
+    tables for B alone; the probe reads it in place.
     """
     _check_problem(k, r)
     if B < 1:
         raise ValueError(f"avoidance bound must be >= 1, got {B}")
     tables = _Tables(r, B) if _tables is None else _tables
-    primes, fresh, due, windows = tables.view(B)
     first = _orbit_representatives(k) if options.symmetry_reduction else list(range(k))
     t0 = time.monotonic()
     deadline = t0 + options.time_budget if options.time_budget is not None else None
     status, classes, reason, nodes, backtracks, depth = _run_dfs(
-        k, tables, primes, fresh, due, windows, first, options.node_budget, deadline
+        k, tables, B, first, options.node_budget, deadline
     )
     stats = SearchStats(nodes, backtracks, depth, time.monotonic() - t0)
-    found = (k, r, B, primes, classes) if status == SAT else None
+    found = (k, r, B, tables.primes[: len(classes)], classes) if status == SAT else None
     return SearchOutcome(status, stats, reason, found)
 
 
@@ -467,10 +446,10 @@ def hildebrand_constant(
     for c' - 1 cannot hold and its recheck raises RuntimeError; probes
     below the true constant are truly sat.
 
-    All probes read prefix views of one set of tables, rebuilt for twice
-    the probed bound (at least 64, at most B_max) whenever B passes the
-    bound it covers, so the builds cost at most about twice one build at
-    the final bound and a huge B_max allocates nothing up front.
+    All probes read one set of tables in place, rebuilt for twice the
+    probed bound (at least 64, at most B_max) whenever B passes the bound
+    it covers, so the builds cost at most about twice one build at the
+    final bound and a huge B_max allocates nothing up front.
     """
     _check_problem(k, r)
     if B_max < 1:

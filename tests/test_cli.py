@@ -262,6 +262,29 @@ def test_pipeline_output_bytes_are_unchanged(args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of --deterministic stdout: the avoidance engine's answers,
+# certificates and node counts, for the deepening and for single probes.
+SEARCH_OUTPUTS = [
+    ("constant --k 2 --b-max 100",
+     "4eae79bdf11d9b24e2915d997044f94c8d4359026cb97f683fbd2d4315904808"),
+    ("constant --k 3 --b-max 200",
+     "f5fc69d2fd9093d0394b4a00be4cea606982fa3bbbe3e019e0175ac3dd2b1ba0"),
+    ("constant --k 4 --b-max 1300",
+     "bf9f2c7eac02b02b12bd5d593c6944971057f497f4fc32cb2fb0e4d623c263d8"),
+    ("avoid --k 5 --B 7887", "68e4262e444afdd0fc004a47d6f0a4feea587f63628966b94f9f01f8f020f5a5"),
+    ("avoid --k 5 --B 7888", "009394512cd2039ae1b14926e64af6ed2a5e7915816b93974f2df759779ad6e1"),
+    ("avoid --k 6 --B 100000", "f525e05bd9d03e629f103f507d4887c7139d637e7459bec0b88388055c970bd7"),
+]
+
+
+@pytest.mark.parametrize("line, digest", SEARCH_OUTPUTS, ids=[case[0] for case in SEARCH_OUTPUTS])
+def test_search_output_bytes_are_unchanged(line, digest, capsys):
+    code = cli.main([*line.split(), "--deterministic"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_hindman_exit_codes():
     code, doc = run_json("hindman", "--n", "6", "--m", "2", "--coloring", "size-parity")
     assert code == 0
@@ -686,6 +709,8 @@ BOUNDARY_CASES = [
     ("constant --k 2 --out missing/x.json", 1,
      "cannot write missing/x.json: [Errno 2] No such file or directory: 'missing/x.json'"),
     ("constant --k 2 --out .", 1, "cannot write .: [Errno 21] Is a directory: '.'"),
+    ("avoid --k 2 --B 5 --out broken.json/x.json", 1,
+     "cannot write broken.json/x.json: [Errno 20] Not a directory: 'broken.json/x.json'"),
     ("verify-witness missing.json", 1,
      "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
     ("verify-witness broken.json", 1, NOT_JSON),
@@ -721,6 +746,20 @@ def test_each_subcommand_at_its_boundary(line, code, message, tmp_path, monkeypa
     else:
         assert out == ""
         assert err == (message if "\n" in message else USAGE_ERROR.format(message))
+
+
+def test_unwritable_out_is_refused_before_the_search(tmp_path, monkeypatch, capsys):
+    # The search alone takes seconds; the file it cannot write is known at once.
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main("constant --k 5 --b-max 3000 --out missing/x.json".split())
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "cannot write missing/x.json: [Errno 2] No such file or directory: 'missing/x.json'\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_avoid_refuses_a_modulus_past_the_cap_at_once():

@@ -1,6 +1,8 @@
 import json
 import math
 import time
+from bisect import bisect_right
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -105,8 +107,9 @@ def test_deepening_rechecks_only_the_certificate_it_returns(monkeypatch):
 
 
 def test_a_false_sat_fails_the_one_recheck(monkeypatch):
-    def all_kernel(k, tables, primes, *rest):
-        return SAT, [0] * len(primes), None, len(primes), 0, len(primes)
+    def all_kernel(k, tables, B, *rest):
+        n = bisect_right(tables.primes, B + tables.r - 1)
+        return SAT, [0] * n, None, n, 0, n
 
     monkeypatch.setattr(hildebrand, "_run_dfs", all_kernel)
     out = avoidance_search(2, 2, 8)
@@ -308,6 +311,27 @@ def test_class_table_engine_matches_spf_walk(k, r, B, symmetry, node_budget):
     assert got == spf_walk_avoidance(k, r, B, symmetry, node_budget)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from([2, 3, 4]),
+    st.integers(1, 300).flatmap(lambda B: st.tuples(st.just(B), st.integers(B, 4 * B))),
+    st.booleans(),
+    st.sampled_from([None, 5, 40]),
+)
+def test_a_probe_reads_larger_tables_as_its_own(k, r, B_bound, symmetry, node_budget):
+    B, bound = B_bound
+    opts = SearchOptions(symmetry_reduction=symmetry, node_budget=node_budget)
+
+    def answer(out):
+        stats = out.stats
+        return (out.status, out.certificate, stats.nodes, stats.backtracks,
+                stats.depth_reached, out.reason)
+
+    shared = avoidance_search(k, r, B, opts, _tables=_Tables(r, bound))
+    assert answer(shared) == answer(avoidance_search(k, r, B, opts))
+
+
 def test_large_modulus_reads_only_the_mask_rows_it_needs():
     # A full table of k * k masks would take seconds to build at this k.
     t0 = time.monotonic()
@@ -385,19 +409,26 @@ def test_each_window_holds_one_multiple_of_its_prime(r):
 @pytest.mark.parametrize("bound, B", [(300, 300), (300, 7), (300, 150), (300, 299)])
 def test_tables_write_each_integer_before_its_first_read(r, bound, B):
     tables = _Tables(r, bound)
-    primes, fresh, due, windows = tables.view(B)
     lpi, cof = tables.lpi, tables.cof
     limit = B + r - 1
+    # What a probe at B reads: each list up to its first entry past the bound.
+    primes = tables.primes[: bisect_right(tables.primes, limit)]
+
+    def read(lists, top):
+        return [list(takewhile(top.__ge__, xs)) for xs in lists[: len(primes)]]
+
+    fresh, due, windows = read(tables.fresh, limit), read(tables.due, limit), read(tables.windows, B)
     assert primes == [p for p in tables.primes if p <= limit]
+    for xs in (*tables.fresh, *tables.due, *tables.windows):
+        assert xs == sorted(xs)
     assert sorted(a for ws in windows for a in ws) == list(range(1, B + 1))
     written = {}
     for i, (ns, ds) in enumerate(zip(fresh, due)):
-        assert ns == sorted(ns) and ds == sorted(ds)
         assert all(lpi[n] == i for n in ns) and all(lpi[n] < i for n in ds)
         for n in ds + ns:
             assert n not in written
             written[n] = i
-    # Integers no window of the view reads may sit past its last prime.
+    # Integers no window at B reads may sit past its last prime.
     assert set(written) <= set(range(2, limit + 1))
     for i, ws in enumerate(windows):
         for a in ws:
