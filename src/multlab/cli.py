@@ -9,7 +9,9 @@ Exit codes: 0 for a definitive answer, including unsat decisions and
 failed verifications; 2 when a search found nothing or ran out of budget;
 1 for usage and input validation errors.  Handlers and the library raise
 ValueError for bad or oversized input, and main alone turns it into exit 1
-with the usage line and the message.  A verified field reports the
+with the usage line and the message.  main also turns a MemoryError into
+exit 1, with one error line; output is built whole before it is written,
+so a run that runs out of memory writes nothing.  A verified field reports the
 library's own recheck: a sat outcome builds and rechecks its certificate
 when first read (constant reads only the one it reports), and the
 searches raise RuntimeError rather than return an answer that fails it.
@@ -522,6 +524,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ValueError as exc:
         parser.error(str(exc))
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: out of memory{detail}\n")
 
 
 if __name__ == "__main__":

@@ -9,10 +9,16 @@ families; here the universe is finite, so the search can genuinely fail.
 Blocks are scanned in a fixed canonical order, by maximum element and then
 lexicographically, which makes the first family found a deterministic
 function of the coloring.  Inside the search a block is an integer
-bitmask, a union is a bitwise or, and colors are read by mask: from the
-coloring's table when it has one, else asked once per subset and
-memoized.  The node count, and so the meaning of a node budget, is that
-of the plain search over tuples.
+bitmask and a union is a bitwise or.  A coloring tabulated in a list
+(random_coloring, at most 255 colors) is searched on candidate bitsets:
+one 2^n-bit int per color marks the masks of that color, and one shift
+and AND per chosen block leaves the candidates that keep every union
+monochromatic.  Any other coloring is scanned one candidate at a time,
+its colors read by mask: computed from the mask (the parity colorings,
+block_sum_coloring's), or asked once per subset and memoized.  Those
+universes go up to n = 60, far past any table.  The node count, and so
+the meaning of a node budget, is that of the plain search over tuples on
+both paths: a candidate the bitsets rule out still counts as examined.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import cache
+from itertools import compress
 from typing import Callable, Sequence
 
 from .blockseq import all_subset_sums, normalize_index_set, precedes
@@ -153,11 +160,13 @@ def monochromatic_fu_search(
     Depth-first over blocks in canonical order; a partial family is
     extended only while every union formed so far has the color of A_1,
     which is exactly the hereditary restriction of the final condition.
-    A candidate is checked alone first, then joined to each earlier union
-    in turn, and dropped at the first other color.  Colors are read by mask
-    as the module docstring says, so a coloring without a table costs memory
-    for the subsets colored, never 2^n up front.  The family found is
-    rechecked on the subset sums of its masks.
+    A coloring whose table is a list of at most 255 colors (random_coloring)
+    is searched on candidate bitsets (_bitset_search); any other is scanned
+    one candidate at a time (_scan_search), colors read by mask as the
+    module docstring says, so a computed coloring costs memory for the
+    subsets colored, never 2^n up front.  Both find the same family in the
+    same number of nodes.  The family found is rechecked on the subset sums
+    of its masks.
 
     Returns None when the finite universe is exhausted; raises
     SearchBudgetExceeded if node_budget candidate blocks were examined
@@ -168,8 +177,30 @@ def monochromatic_fu_search(
     limit = node_limit(node_budget)
     n = coloring.n
     color = coloring.table
-    if color is None:
-        color = _ComputedTable(cache(lambda mask: coloring.color_of(_block_of(mask, n))))
+    if isinstance(color, list) and coloring.classes < 256:
+        found = _bitset_search(color, n, m, limit)
+    else:
+        if color is None:
+            color = _ComputedTable(cache(lambda mask: coloring.color_of(_block_of(mask, n))))
+        found = _scan_search(color, n, m, limit)
+    if found is None:
+        return None
+    family = BlockFamily(tuple(_block_of(block, n) for block in found))
+    if len({color[u] for u in all_subset_sums(found)[1:]}) != 1:
+        raise RuntimeError(f"search returned a non-monochromatic family {family.blocks}")
+    return family
+
+
+def _over_budget(limit: float) -> SearchBudgetExceeded:
+    return SearchBudgetExceeded(f"monochromatic family search exceeded {limit} nodes")
+
+
+def _scan_search(color, n: int, m: int, limit: float) -> list[int] | None:
+    """The search, one candidate at a time.
+
+    A candidate is checked alone first, then joined to each earlier union
+    in turn, and dropped at the first other color.
+    """
     nodes = 0
 
     def extend(chosen: list[int], unions: list[int], target: int, lo: int):
@@ -180,9 +211,7 @@ def monochromatic_fu_search(
             for block in _block_masks(lo, mx, n):
                 nodes += 1
                 if nodes > limit:
-                    raise SearchBudgetExceeded(
-                        f"monochromatic family search exceeded {node_budget} nodes"
-                    )
+                    raise _over_budget(limit)
                 if not chosen:
                     target = color[block]
                 elif color[block] != target:
@@ -197,13 +226,95 @@ def monochromatic_fu_search(
                         return found
         return None
 
-    found = extend([], [], 0, 1)
-    if found is None:
+    return extend([], [], 0, 1)
+
+
+# bin() digits to 0/1 flags, which itertools.compress reads as truth values.
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits_descending(bits: int):
+    """Positions of the set bits of bits > 0, largest first."""
+    text = bin(bits)[2:].encode().translate(_FLAGS)
+    return compress(range(len(text) - 1, -1, -1), text)
+
+
+def bits_where(values: bytes, value: int) -> int:
+    """The int with bit i set exactly where values[i] == value."""
+    digits = bytearray(b"0" * 256)
+    digits[value] = ord("1")
+    return int(values[::-1].translate(digits), 2)
+
+
+def _bitset_search(table: list[int], n: int, m: int, limit: float) -> list[int] | None:
+    """The search on candidate bitsets over a list table.
+
+    After blocks A_1..A_j of color t, the next block is a mask x below
+    the lowest bit of A_j with x | u of color t for every union u of the
+    chosen blocks and for u = 0.  Masks of separated blocks are disjoint,
+    so x | u = x + u, and those x are the set bits of an int C: C starts
+    as the masks of color t, and choosing g makes it C & (C >> g), cut
+    below the lowest bit of g.  The int of a color is built the first time
+    a first block has that color, from one byte per mask, so the table's
+    colors must fit in a byte.
+
+    Survivors are visited in canonical order.  Among the masks below 2^w
+    (the blocks over {lo..n}, w = n - lo + 1), the mask x of lowest bit
+    2^b is number 2^(w - b) - 1 - (x >> (b + 1)) in that order, and the
+    node count adds the gaps between survivors, so every candidate skipped
+    counts as examined, as in the scan.
+    """
+    colors = bytes(table)
+    color_bits = {}
+    nodes = 0
+
+    def extend(chosen: list[int], cands: int, w: int):
+        nonlocal nodes
+        last = len(chosen) == m - 1
+        seen = 0
+        for x in sorted(_bits_descending(cands), key=lambda x: x & -x, reverse=True):
+            low = x & -x
+            index = (1 << w) // low - 1 - x // (low << 1)
+            nodes += index - seen
+            seen = index
+            if nodes > limit:
+                raise _over_budget(limit)
+            if last:
+                return chosen + [x]
+            inner = cands & (cands >> x) & ((1 << low) - 1)
+            if inner:
+                found = extend(chosen + [x], inner, low.bit_length() - 1)
+                if found is not None:
+                    return found
+            else:
+                nodes += low - 1
+        nodes += (1 << w) - 1 - seen
         return None
-    family = BlockFamily(tuple(_block_of(block, n) for block in found))
-    if len({color[u] for u in all_subset_sums(found)[1:]}) != 1:
-        raise RuntimeError(f"search returned a non-monochromatic family {family.blocks}")
-    return family
+
+    if m == 1:
+        return [1 << (n - 1)]
+    # No block follows one that contains n: the 2^(n - 1) of them are one
+    # node each, taken last.
+    for mx in range(1, n):
+        for block in _block_masks(1, mx, n):
+            nodes += 1
+            if nodes > limit:
+                raise _over_budget(limit)
+            t = table[block]
+            if t not in color_bits:
+                color_bits[t] = bits_where(colors, t)
+            low = block & -block
+            inner = color_bits[t] & (color_bits[t] >> block) & ((1 << low) - 1)
+            if inner:
+                found = extend([block], inner, n - mx)
+                if found is not None:
+                    return found
+            else:
+                nodes += low - 1
+    nodes += 1 << (n - 1)
+    if nodes > limit:
+        raise _over_budget(limit)
+    return None
 
 
 def size_parity_coloring(n: int) -> SubsetColoring:

@@ -13,13 +13,15 @@ sums b_i by b_1; divisibility of the sums and constancy of the class on
 the union closure make every quotient sum plus the implicit 1 collapse
 back into the monochromatic family.  The colors come from residues of
 the terms alone; the terms themselves are built only up to the largest
-index the family found uses.  The direct search instead scans
+index the family found uses.  The direct search instead looks among the
 kernel pairs f(a) = f(a + 1) = 1 below a bound for a subset-sum-closed
-subfamily.
+subfamily, with the pairs, and the candidates left at each depth, held
+as bits of one int.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 
@@ -35,6 +37,7 @@ from .hindman import (
     BlockFamily,
     SearchBudgetExceeded,
     SubsetColoring,
+    bits_where,
     fu_closure,
     monochromatic_fu_search,
     node_limit,
@@ -158,9 +161,17 @@ def ip_witness_direct(
 ) -> IPWitness | None:
     """Lexicographically least m generators taken from kernel pairs <= bound.
 
-    Scans S = {a <= bound : f(a) = f(a + 1) = class 0} and picks elements
-    in increasing order so every subset sum stays inside S.  Returns None
-    when no such m-subset exists below the bound; raises
+    Picks elements of S = {a <= bound : f(a) = f(a + 1) = class 0} in
+    increasing order so every subset sum stays inside S.  The next
+    generator must lie in C = {x : x + s in S for every subset sum s of the
+    generators chosen, and s = 0}.  With S as the bits of an int, C starts
+    as S, and choosing g makes it C & (C >> g), cut to x > g: one shift and
+    AND per generator, however many candidates it rules out.  A node is a
+    candidate generator examined in order; the candidates C skips between
+    two survivors count too, by their ranks among the pairs, so the count
+    is that of testing each candidate in turn.
+
+    Returns None when no such m-subset exists below the bound; raises
     SearchBudgetExceeded if node_budget candidate generators were examined
     before either outcome.
     """
@@ -170,27 +181,41 @@ def ip_witness_direct(
         raise ValueError(f"generator count m = {m} exceeds the cap {MAX_GENERATORS}")
     limit = node_limit(node_budget)
     pairs = find_runs(f, 2, bound)
-    inside = set(pairs)
+    flags = bytearray(bound + 1)
+    for a in pairs:
+        flags[a] = 1
     nodes = 0
 
-    def extend(chosen: list[int], sums: list[int], start: int):
+    def extend(chosen: tuple[int, ...], cands: int, start: int):
+        # cands holds this depth's candidates, all of rank start or more.
         nonlocal nodes
-        if len(chosen) == m:
-            return tuple(chosen)
-        for idx in range(start, len(pairs)):
-            nodes += 1
+        last = len(chosen) == m - 1
+        rest = cands
+        seen = start
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            g = low.bit_length() - 1
+            rank = bisect_left(pairs, g, seen)
+            nodes += rank + 1 - seen
+            seen = rank + 1
             if nodes > limit:
                 raise SearchBudgetExceeded(f"direct witness search exceeded {node_budget} nodes")
-            g = pairs[idx]
-            grown = [g] + [s + g for s in sums]
-            if any(s not in inside for s in grown):
-                continue
-            found = extend(chosen + [g], sums + grown, idx + 1)
-            if found is not None:
-                return found
+            if last:
+                return (*chosen, g)
+            inner = rest & (cands >> g)
+            if inner:
+                found = extend((*chosen, g), inner, seen)
+                if found is not None:
+                    return found
+            else:
+                nodes += len(pairs) - seen
+        nodes += len(pairs) - seen
         return None
 
-    gens = extend([], [], 0)
+    gens = extend((), bits_where(flags, 1), 0)
+    if nodes > limit:
+        raise SearchBudgetExceeded(f"direct witness search exceeded {node_budget} nodes")
     if gens is None:
         return None
     witness = IPWitness(f, 1, gens, DIRECT_SEARCH)

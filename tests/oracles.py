@@ -140,6 +140,37 @@ def naive_fu_search(color, n, m):
     return family, nodes
 
 
+def set_scan_direct_witness(f, m, bound):
+    """(generators or None, nodes) of the direct witness scan on a set.
+
+    The kernel pairs f(a) = f(a + 1) = 0 up to bound are found by
+    evaluating f, and candidates are tried in increasing order: each is
+    joined to every subset sum chosen so far, and kept only if all of the
+    new sums are pairs too.  nodes counts the candidates examined, which
+    is what a node budget limits.
+    """
+    pairs = [a for a in range(1, bound + 1) if f.evaluate(a) == 0 and f.evaluate(a + 1) == 0]
+    inside = set(pairs)
+    nodes = 0
+
+    def extend(chosen, sums, start):
+        nonlocal nodes
+        if len(chosen) == m:
+            return tuple(chosen)
+        for idx in range(start, len(pairs)):
+            nodes += 1
+            g = pairs[idx]
+            grown = [g] + [s + g for s in sums]
+            if any(s not in inside for s in grown):
+                continue
+            found = extend(chosen + [g], sums + grown, idx + 1)
+            if found is not None:
+                return found
+        return None
+
+    return extend([], [], 0), nodes
+
+
 @lru_cache(maxsize=None)
 def _sequence(n):
     return generate_block_sequence(n)

@@ -762,6 +762,22 @@ def test_unwritable_out_is_refused_before_the_search(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", [None, "x.json"])
+def test_memory_error_exits_one_and_writes_nothing(tmp_path, monkeypatch, capsys, out):
+    # Stands in for an answer whose JSON text does not fit in memory.
+    def no_room(doc):
+        raise MemoryError
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "json_chunks", no_room)
+    argv = ["runs", *LIOUVILLE, "--bound", "30"] + (["--out", out] if out else [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", "multlab: error: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_avoid_refuses_a_modulus_past_the_cap_at_once():
     start = time.perf_counter()
     code, out, err = run("avoid", "--k", "65537", "--B", "10")

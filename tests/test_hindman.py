@@ -179,6 +179,27 @@ def test_table_path_matches_tuple_engine_and_its_node_count(n, classes, m, seed)
         monochromatic_fu_search(table_only, m, node_budget=nodes - 1)
 
 
+@given(st.integers(1, 7), st.integers(1, 4), st.integers(0, 10**6))
+def test_table_of_more_colors_than_a_byte_takes_the_scan(n, m, seed):
+    # Colors past 255 do not fit the bitsets' byte per mask, so such a
+    # table is scanned; family and node count are those of the tuples.
+    coloring = random_coloring(n, 300, seed)
+    expected, nodes = naive_fu_search(coloring.color_of, n, m)
+    family = monochromatic_fu_search(coloring, m, node_budget=nodes)
+    assert (family.blocks if family else None) == expected
+    with pytest.raises(SearchBudgetExceeded if nodes > 1 else ValueError):
+        monochromatic_fu_search(coloring, m, node_budget=nodes - 1)
+
+
+def test_refutation_node_count_at_scale():
+    # The families benchmark's m = 5 refutation: exactly 428 357 candidate
+    # blocks, as the scan over every candidate counts them.
+    coloring = random_coloring(15, 2, 0)
+    assert monochromatic_fu_search(coloring, 5, node_budget=428_357) is None
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 428356 nodes"):
+        monochromatic_fu_search(coloring, 5, node_budget=428_356)
+
+
 @pytest.mark.parametrize("seed,m", [(0, 4), (0, 5), (41, 4), (3, 3)])
 def test_each_subset_is_colored_at_most_once(seed, m):
     n = 11

@@ -21,7 +21,14 @@ from multlab.witness import (
     witness_to_dict,
 )
 
-from oracles import all_blocks, brute_force_family, eager_block_sum_color, powerset_sums
+from oracles import (
+    all_blocks,
+    brute_force_family,
+    eager_block_sum_color,
+    powerset_sums,
+    primes_upto,
+    set_scan_direct_witness,
+)
 
 
 def liouville_prefix(limit=31):
@@ -115,6 +122,40 @@ def test_direct_witness_node_budget():
         # one node short stops the search; a budget of 0 is refused outright
         with pytest.raises(SearchBudgetExceeded if nodes > 1 else ValueError):
             ip_witness_direct(f, m, bound, node_budget=nodes - 1)
+
+
+@st.composite
+def small_sieve_bounded(draw):
+    """(f, bound): a sieve-bounded function with k <= 4 that evaluates to bound + 1."""
+    k = draw(st.integers(1, 4))
+    bound = draw(st.integers(1, 300))
+    primes = primes_upto(bound + 1)
+    classes = draw(st.lists(st.integers(0, k - 1), min_size=len(primes), max_size=len(primes)))
+    default = draw(st.integers(0, k - 1))
+    f = MultiplicativeFunction.sieve_bounded(k, dict(zip(primes, classes)), bound + 1, default)
+    return f, bound
+
+
+@given(small_sieve_bounded(), st.integers(1, 4))
+def test_direct_witness_matches_the_set_scan_and_its_node_count(f_bound, m):
+    f, bound = f_bound
+    expected, nodes = set_scan_direct_witness(f, m, bound)
+    found = ip_witness_direct(f, m, bound, node_budget=max(nodes, 1))
+    assert (found.generators if found else None) == expected
+    if nodes:
+        # one node short stops the search; a budget of 0 is refused outright
+        with pytest.raises(SearchBudgetExceeded if nodes > 1 else ValueError):
+            ip_witness_direct(f, m, bound, node_budget=nodes - 1)
+
+
+def test_direct_witness_node_count_at_scale():
+    # The families benchmark's direct witness: Liouville's kernel pairs up
+    # to 2 * 10^5, m = 4, found after exactly 6 376 candidate generators.
+    f = liouville_prefix(200_001)
+    w = ip_witness_direct(f, 4, 200_000, node_budget=6_376)
+    assert w.generators == (9, 15, 326, 25813)
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 6375 nodes"):
+        ip_witness_direct(f, 4, 200_000, node_budget=6_375)
 
 
 def test_invalid_witness_rejected_by_verifier():
