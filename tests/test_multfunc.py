@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -190,6 +191,42 @@ def test_class_table_matches_spf_oracle(case, data):
     table = class_table(f, upto)
     assert isinstance(table, bytearray if f.k <= 256 else list)
     assert list(table) == spf_class_table(f, upto)
+
+
+TABLE_EDGE = 2000  # covers upto = p*p - 1, p*p and p*p + 1 for every prime p <= 43
+EDGE_PRIMES = [p for p in primes_upto(TABLE_EDGE) if p * p > TABLE_EDGE]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        MultiplicativeFunction.sieve_bounded(2, {}, TABLE_EDGE, default_class=1),
+        # Only primes above sqrt(upto) listed, about half of them with class 0.
+        MultiplicativeFunction.sieve_bounded(3, {p: p // 2 % 3 for p in EDGE_PRIMES}, TABLE_EDGE),
+        # The list path, with classes past a byte.
+        MultiplicativeFunction.sieve_bounded(
+            257, {2: 256, 3: 0, 43: 1, 47: 0, 1999: 255}, TABLE_EDGE, default_class=200
+        ),
+    ],
+    ids=["liouville", "zero-default-large-primes", "k257-default"],
+)
+def test_class_table_matches_spf_oracle_at_every_bound(f):
+    # The oracle's table to TABLE_EDGE holds every shorter one as a prefix.
+    oracle = spf_class_table(f, TABLE_EDGE)
+    for upto in range(1, TABLE_EDGE + 1):
+        table = class_table(f, upto)
+        assert isinstance(table, bytearray if f.k <= 256 else list)
+        assert list(table) == oracle[: upto + 1], upto
+
+
+def test_liouville_table_at_a_million_is_unchanged():
+    upto = 10**6 + 1
+    f = MultiplicativeFunction.sieve_bounded(2, {}, limit=upto, default_class=1)
+    table = class_table(f, upto)
+    # sha256 of the table built with one slice translation per prime power.
+    digest = "bc4527a2d737d752feb151634f9f50d55a2eb8feb0c26882ea95a2f0511737d1"
+    assert hashlib.sha256(table).hexdigest() == digest
+    assert len(find_runs(f, 2, 10**6)) == 249_458
 
 
 @given(table_cases(), st.integers(1, 4), st.data())
