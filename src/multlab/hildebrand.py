@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, compress, islice, tee
 from typing import Mapping
 
-from .arith import build_sieve, prime_flags
+from .arith import prime_flags
 from .hindman import node_limit
 from .multfunc import MultiplicativeFunction, assignment_from_pairs, find_runs
 
@@ -49,7 +49,7 @@ _CHECK_MASK = 0xFF
 # The search builds k-entry tuples and k-bit masks per prime; refuse larger
 # k before any of them is made.
 MAX_MODULUS = 2**16
-# Most of 1..B + r - 1 the search tables cover; avoid --k 6 --B 10**6 takes 160 MiB.
+# Most of 1..B + r - 1 the search tables cover; avoid --k 6 --B 10**6 takes 115 MiB.
 MAX_TABLE_LIMIT = 10**7
 
 
@@ -219,6 +219,12 @@ class _Tables:
     window reads until deep in the search costs nothing before then.  The
     lists are appended in increasing order, so the tables of any B <= bound
     are a prefix of each, and a smaller B only drops readers.
+
+    Slices write the split, with no factor sieve: each prime p in increasing
+    order, then each power q = p**e, writes its index, e and n / q at its
+    multiples n, so n's largest prime and that prime's full power write last.
+    ex is a bytearray; every int entry is taken from one list, nums, of
+    0..limit, so an integer held by several lists is one object.
     """
 
     def __init__(self, r: int, bound: int):
@@ -227,30 +233,25 @@ class _Tables:
         limit = bound + r - 1
         if limit > MAX_TABLE_LIMIT:
             raise ValueError(f"B + r - 1 = {limit} exceeds the search table cap {MAX_TABLE_LIMIT}")
-        sieve = build_sieve(limit)
-        spf = sieve.spf
-        self.primes = primes = sieve.primes()
+        flags, nums = prime_flags(limit), list(range(limit + 1))
+        self.primes = primes = list(compress(nums, flags))
         self.lpi = lpi = [0] * (limit + 1)  # 0 pads the entries 0 and 1
         self.cof = cof = [1] * (limit + 1)
-        self.ex = ex = [1] * (limit + 1)
-        for i, p in enumerate(primes):
-            lpi[p] = i
-        for n in range(4, limit + 1):
-            p = spf[n]
-            if p == n:
+        self.ex = ex = bytearray([1]) * (limit + 1)
+        for j, p in zip(nums, primes):
+            if p > limit // 2:  # p is its only multiple
+                lpi[p] = j
                 continue
-            m = n // p
-            lpi[n] = i = lpi[m]
-            if i == lpi[p]:
-                ex[n] = ex[m] + 1
-            else:
-                cof[n] = cof[m] * p
-                ex[n] = ex[m]
-        del sieve, spf
+            lpi[p::p] = [j] * (limit // p)
+            q, e = p, 1
+            while q <= limit:
+                ex[q::q] = bytes([e]) * (limit // q)
+                cof[q::q] = nums[1 : limit // q + 1]
+                q, e = q * p, e + 1
         def owners():  # the largest prime index over a..a+r-1, for a = 1..bound
             return map(max, *(islice(lpi, 1 + j, bound + 1 + j) for j in range(r)))
         self.windows = windows = [[] for _ in primes]
-        for a, i in enumerate(owners(), 1):
+        for a, i in zip(islice(nums, 1, None), owners()):
             windows[i].append(a)
         # first[n], where the search first reads n: the least owner of a window
         # holding n, with no list of all owners, which would raise peak memory.
@@ -264,9 +265,8 @@ class _Tables:
                 first[cof[n]] = first[n]
         self.fresh = fresh = [[] for _ in primes]
         self.due = due = [[] for _ in primes]
-        for n in range(2, limit + 1):
-            i = first[n]
-            (fresh if i == lpi[n] else due)[i].append(n)
+        for n, i, own in zip(islice(nums, 2, None), islice(first, 2, None), islice(lpi, 2, None)):
+            (fresh if i == own else due)[i].append(n)
 
 
 class _ZeroMasks(dict):
@@ -326,7 +326,7 @@ def _run_dfs(
     top = B + r - 1
     nprimes = bisect_right(primes, top)
     zero = _zero_masks(k, (len(cof) - 1).bit_length())
-    every, last = (1 << k) - 1, r - 1
+    every, last, middle = (1 << k) - 1, r - 1, r > 2
     val = [0] * (top + 1)
     cls, forbidden, pos = [0] * nprimes, [0] * nprimes, [0] * nprimes
     later = tuple(range(k))
@@ -344,7 +344,7 @@ def _run_dfs(
                 if a > B:
                     break
                 # Most windows hold a value outside the kernel for good.
-                if val[a] or val[a + last] or any(val[a + 1 : a + last]):
+                if val[a] or val[a + last] or middle and any(val[a + 1 : a + last]):
                     continue
                 # Its one element owned by i is its one multiple of p: a second
                 # would bring in all of pm..pm + p, which has a prime factor

@@ -225,6 +225,7 @@ def class_table(f: MultiplicativeFunction, upto: int) -> bytearray | list[int]:
     if f.mode == SIEVE_BOUNDED and upto > f.limit:
         raise ValueError(f"{upto} exceeds evaluable range 1..{f.limit}")
     k, default, s = f.k, f.default_class, isqrt(upto) + 1
+    cut = s  # the listed primes from cut up go to the strided pass
     if default:
         flags = prime_flags(upto)
         small = list(compress(range(s), flags))
@@ -232,11 +233,13 @@ def class_table(f: MultiplicativeFunction, upto: int) -> bytearray | list[int]:
                else list(map(default.__mul__, flags)))
         del flags  # at most two tables at once
     else:
-        small = [p for p in f.assignment if p < s]
+        if sum(s <= p <= upto for p in f.assignment) < upto // s:
+            cut = upto + 1  # a translate per prime beats upto // s strides
+        small = [p for p in f.assignment if p < cut]
         big = bytearray(upto + 1) if k <= 256 else [0] * (upto + 1)
-    wide = default  # whether a prime >= s has a nonzero class
+    wide = default  # whether a prime >= cut has a nonzero class
     for p, c in f.assignment.items():
-        if s <= p <= upto:
+        if cut <= p <= upto:
             big[p] = c
             wide = wide or c
     val, big = big, big[: upto // 2 + 1]  # j = 1, and all that j >= 2 reads

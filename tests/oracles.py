@@ -10,6 +10,7 @@ import math
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
+from types import SimpleNamespace
 
 from multlab.arith import build_sieve
 from multlab.blockseq import generate_block_sequence, subset_sum
@@ -334,3 +335,47 @@ def spf_find_runs(f, r, bound):
         if length >= r:
             runs.append(n - r + 1)
     return runs
+
+
+def spf_tables(r, bound):
+    """hildebrand._Tables' lists by a walk over the smallest-prime-factor sieve.
+
+    The build multlab used before slice passes: n = p * m with p = spf[n]
+    takes its largest prime index from m, and its cofactor and exponent
+    from m's, extended by p.  The work lists follow from the owners list.
+    """
+    limit = bound + r - 1
+    spf = build_sieve(limit).spf
+    primes = [n for n in range(2, limit + 1) if spf[n] == n]
+    lpi, cof, ex = [0] * (limit + 1), [1] * (limit + 1), [1] * (limit + 1)
+    for i, p in enumerate(primes):
+        lpi[p] = i
+    for n in range(4, limit + 1):
+        p = spf[n]
+        if p == n:
+            continue
+        m = n // p
+        lpi[n] = i = lpi[m]
+        if i == lpi[p]:
+            ex[n] = ex[m] + 1
+        else:
+            cof[n] = cof[m] * p
+            ex[n] = ex[m]
+    owners = [max(lpi[a : a + r]) for a in range(1, bound + 1)]
+    windows = [[] for _ in primes]
+    for a, i in enumerate(owners, 1):
+        windows[i].append(a)
+    # first[n]: the least owner of a window holding n, lowered to that of
+    # every integer whose cofactor n is.
+    first = [len(primes)] * (limit + 1)
+    for a, i in enumerate(owners, 1):
+        for n in range(a, a + r):
+            first[n] = min(first[n], i)
+    for n in range(limit, 3, -1):
+        first[cof[n]] = min(first[cof[n]], first[n])
+    fresh, due = [[] for _ in primes], [[] for _ in primes]
+    for n in range(2, limit + 1):
+        (fresh if first[n] == lpi[n] else due)[first[n]].append(n)
+    return SimpleNamespace(
+        primes=primes, lpi=lpi, cof=cof, ex=ex, windows=windows, fresh=fresh, due=due
+    )

@@ -1,8 +1,9 @@
 import json
 import math
 import time
+import tracemalloc
 from bisect import bisect_right
-from itertools import takewhile
+from itertools import chain, takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from multlab.hildebrand import (
 from oracles import (
     brute_force_avoidance,
     fresh_probe_deepening,
+    spf_tables,
     spf_walk_avoidance,
     trial_division_factors,
 )
@@ -228,10 +230,11 @@ def test_modulus_past_the_cap_is_refused_before_any_table(monkeypatch):
 
 
 def test_tables_past_the_cap_are_refused_before_any_sieve(monkeypatch):
+    # prime_flags is the table build's first allocation sized by B + r - 1.
     def no_sieve(*args):
         raise AssertionError("sieve built")
 
-    monkeypatch.setattr(hildebrand, "build_sieve", no_sieve)
+    monkeypatch.setattr(hildebrand, "prime_flags", no_sieve)
     cap = hildebrand.MAX_TABLE_LIMIT
     for k, r, B in [(2, 2, cap), (2, 3, cap - 1), (2, 10**11, 5), (2, 2, 10**11)]:
         with pytest.raises(ValueError, match=f"^B \\+ r - 1 = {B + r - 1} exceeds the search "
@@ -392,6 +395,38 @@ def test_tables_split_reconstructs_argument(n):
     p = SPLIT.primes[SPLIT.lpi[n]]
     assert SPLIT.cof[n] * p ** SPLIT.ex[n] == n
     assert all(q < p for q, _ in trial_division_factors(SPLIT.cof[n]))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_tables_match_the_spf_walk(r):
+    # Bounds 1..600 meet p**2 - 1, p**2 + 1, higher prime powers and primes
+    # just above limit // 2 for every small p.
+    for bound in [*range(1, 601), 5003, 10**4]:
+        tables, walk = _Tables(r, bound), spf_tables(r, bound)
+        for name in ("primes", "lpi", "cof", "windows", "fresh", "due"):
+            assert getattr(tables, name) == getattr(walk, name), (bound, name)
+        assert list(tables.ex) == walk.ex, bound
+
+
+def test_tables_hold_one_int_object_per_integer():
+    tables = _Tables(3, 5000)
+    lists = [tables.primes, tables.lpi, tables.cof, *tables.windows, *tables.fresh, *tables.due]
+    seen = {}
+    for n in chain.from_iterable(lists):
+        assert seen.setdefault(n, n) is n
+
+
+def test_table_memory_is_pinned():
+    # 8.5 MiB traced with one int object per integer; 13.0 MiB when every
+    # list held its own ints and the exponents were a list.
+    tracemalloc.start()
+    try:
+        tables = _Tables(2, 10**5)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tables.cof) == 10**5 + 2
+    assert live < 10 * 2**20
 
 
 @pytest.mark.parametrize("r", [2, 3, 6, 12, 30])

@@ -207,8 +207,11 @@ EDGE_PRIMES = [p for p in primes_upto(TABLE_EDGE) if p * p > TABLE_EDGE]
         MultiplicativeFunction.sieve_bounded(
             257, {2: 256, 3: 0, 43: 1, 47: 0, 1999: 255}, TABLE_EDGE, default_class=200
         ),
+        # Fewer primes above sqrt(upto) than strides: each takes a translate.
+        MultiplicativeFunction.finite_support(5, {2: 1, 3: 4, 43: 2, 1009: 3, 1999: 1}),
+        MultiplicativeFunction.sieve_bounded(257, {2: 256, 1009: 3, 1999: 100}, TABLE_EDGE),
     ],
-    ids=["liouville", "zero-default-large-primes", "k257-default"],
+    ids=["liouville", "zero-default-large-primes", "k257-default", "sparse", "k257-sparse"],
 )
 def test_class_table_matches_spf_oracle_at_every_bound(f):
     # The oracle's table to TABLE_EDGE holds every shorter one as a prefix.
