@@ -24,6 +24,8 @@ lex-least answer.
 
 A sat outcome's certificate is built and rechecked by run scan when first
 read; the deepening reads only the one it reports (see hildebrand_constant).
+The deepening resumes each probe where the scan first departs from the
+previous probe's, with every count as if the probe had scanned afresh.
 """
 
 from __future__ import annotations
@@ -297,6 +299,38 @@ class _ZeroMasks(dict):
 _zero_masks = lru_cache(maxsize=16)(_ZeroMasks)
 
 
+def _first_change(
+    tables: _Tables, i: int, B: int, bound: float, ban: int, zero, k: int, val: list, cls: list
+) -> int | None:
+    """The least window a, B < a < bound, of prime index i that adds a class to ban.
+
+    A window adds one when its elements other than the one i owns are all
+    in the kernel, and that element's kernel classes are not all in ban.
+    Called on entering i at B, with ban its forbidden mask there: val then
+    holds the elements up to top = B + r - 1, and an element past top is
+    summed over its prime powers, whose primes all lie below i.
+    """
+    r, lpi, cof, ex = tables.r, tables.lpi, tables.cof, tables.ex
+    top, p, windows = B + r - 1, tables.primes[i], tables.windows[i]
+
+    def value(n):
+        v = 0
+        while n > top:
+            v += ex[n] * cls[lpi[n]]
+            n = cof[n]
+        return (v + val[n]) % k
+
+    for a in islice(windows, bisect_right(windows, B), None):
+        if a >= bound:
+            break
+        n = a + -a % p
+        if any(value(m) for m in range(a, a + r) if m != n):
+            continue
+        if zero[value(cof[n])][ex[n]] & ~ban:
+            return a
+    return None
+
+
 def _run_dfs(
     k: int,
     tables: _Tables,
@@ -304,6 +338,7 @@ def _run_dfs(
     first_classes: list[int],
     node_budget: int | None,
     deadline: float | None,
+    stack: list | None = None,
 ):
     """Backtracking scan at B; returns (status, classes, reason, nodes, backtracks, depth).
 
@@ -320,6 +355,21 @@ def _run_dfs(
     its largest prime.  Nodes and backtracks count classes tried and
     rejected (plus primes exhausted), as in a search testing the windows
     of every class tried from scratch.
+
+    With stack, a deepening over B = 1, 2, ... resumes each probe rather
+    than rescanning.  The scan at B + 1 has one more window, B + 1, and
+    writes one more integer.  Writes change no decision, so it repeats the
+    scan at B up to the first entry into a prime whose forbidden mask gains
+    a class from a window past B, with equal counters there.  So each entry
+    also finds its least window a past B that would add a class and, if a
+    is below every bound on the stack, pushes a with a copy of the state at
+    the entry; a sat scan pushes its final state for B + 1 unless that
+    bound is already there.  The bounds fall toward the top, and the probe
+    at B pops the entry for B and resumes it, first writing the integers
+    past that entry's top whose largest prime is set: the only ones the
+    skipped prefix writes.  A probe whose node budget runs out inside the
+    skipped prefix (state[5] holds its nodes) starts from scratch, so its
+    counts stay exact; it ends unknown, and with it the deepening.
     """
     r, lpi, cof, ex = tables.r, tables.lpi, tables.cof, tables.ex
     primes, fresh, due, windows = tables.primes, tables.fresh, tables.due, tables.windows
@@ -327,11 +377,17 @@ def _run_dfs(
     nprimes = bisect_right(primes, top)
     zero = _zero_masks(k, (len(cof) - 1).bit_length())
     every, last, middle = (1 << k) - 1, r - 1, r > 2
-    val = [0] * (top + 1)
-    cls, forbidden, pos = [0] * nprimes, [0] * nprimes, [0] * nprimes
     later = tuple(range(k))
-    nodes = backtracks = depth_reached = 0
-    i = 0
+    state = stack.pop()[1] if stack and stack[-1][0] == B else None
+    if state is None or node_budget is not None and state[5] > node_budget:
+        val = [0] * (top + 1)
+        cls, forbidden, pos = [0] * len(primes), [0] * len(primes), [0] * (len(primes) + 1)
+        i = nodes = backtracks = depth_reached = 0
+    else:
+        i, val, cls, pos, forbidden, nodes, backtracks, depth_reached, old_top = state
+        for n in range(old_top + 1, top + 1):
+            val.append((val[cof[n]] + ex[n] * cls[lpi[n]]) % k if lpi[n] < i else 0)
+
     while i < nprimes:
         classes = first_classes if i == 0 else later
         if not pos[i]:
@@ -354,6 +410,12 @@ def _run_dfs(
                 if ban == every:
                     break
             forbidden[i] = ban
+            if stack is not None and ban != every:
+                bound = stack[-1][0] if stack else math.inf
+                a = _first_change(tables, i, B, bound, ban, zero, k, val, cls)
+                if a is not None:
+                    copies = val[:], cls[:], pos[:], forbidden[:]
+                    stack.append((a, (i, *copies, nodes, backtracks, depth_reached, top)))
         ban = forbidden[i]
         while pos[i] < len(classes):
             c = classes[pos[i]]
@@ -374,8 +436,7 @@ def _run_dfs(
             i += 1
             if i > depth_reached:
                 depth_reached = i
-            if i < nprimes:
-                pos[i] = 0
+            pos[i] = 0
             break
         else:
             if i == 0:
@@ -387,7 +448,9 @@ def _run_dfs(
                     val[n] = 0
             i -= 1
             backtracks += 1
-    return SAT, cls, None, nodes, backtracks, depth_reached
+    if stack is not None and (not stack or stack[-1][0] > B + 1):
+        stack.append((B + 1, (i, val, cls, pos, forbidden, nodes, backtracks, depth_reached, top)))
+    return SAT, cls[:nprimes], None, nodes, backtracks, depth_reached
 
 
 def _check_problem(k: int, r: int) -> None:
@@ -406,13 +469,15 @@ def avoidance_search(
     options: SearchOptions = SearchOptions(),
     *,
     _tables: _Tables | None = None,
+    _stack: list | None = None,
 ) -> SearchOutcome:
     """Decide whether some assignment avoids all r-runs starting at 1..B.
 
     The scan is sequential, so a sat outcome carries the lexicographically
     least certificate, built and rechecked when first read (SearchOutcome).
     _tables, built for the same r and a bound >= B, replaces building
-    tables for B alone; the probe reads it in place.
+    tables for B alone; the probe reads it in place.  _stack, kept by a
+    deepening with those tables, resumes the probe (see _run_dfs).
     """
     _check_problem(k, r)
     if B < 1:
@@ -422,7 +487,7 @@ def avoidance_search(
     t0 = time.monotonic()
     deadline = t0 + options.time_budget if options.time_budget is not None else None
     status, classes, reason, nodes, backtracks, depth = _run_dfs(
-        k, tables, B, first, options.node_budget, deadline
+        k, tables, B, first, options.node_budget, deadline, _stack
     )
     stats = SearchStats(nodes, backtracks, depth, time.monotonic() - t0)
     found = (k, r, B, tables.primes[: len(classes)], classes) if status == SAT else None
@@ -450,6 +515,11 @@ def hildebrand_constant(
     probed bound (at least 64, at most B_max) whenever B passes the bound
     it covers, so the builds cost at most about twice one build at the
     final bound and a huge B_max allocates nothing up front.
+
+    Each probe resumes the previous one's scan where the new window first
+    changes a decision (see _run_dfs), or scans afresh after a rebuild.
+    Its stats still count the nodes and backtracks of the prefix it skips,
+    so every count, budget cut and answer is that of a probe from scratch.
     """
     _check_problem(k, r)
     if B_max < 1:
@@ -478,7 +548,8 @@ def hildebrand_constant(
             opts = replace(opts, time_budget=left_t)
         if tables is None or B > tables.bound:
             tables = _Tables(r, max(B, min(B_max, max(2 * B, 64), MAX_TABLE_LIMIT - r + 1)))
-        out = avoidance_search(k, r, B, opts, _tables=tables)
+            stack = []  # the first-reader lists change, so the next probe starts afresh
+        out = avoidance_search(k, r, B, opts, _tables=tables, _stack=stack)
         nodes += out.stats.nodes
         backtracks += out.stats.backtracks
         depth = max(depth, out.stats.depth_reached)

@@ -161,26 +161,30 @@ def test_huge_deepening_bound_allocates_nothing_up_front():
     assert res.c == 9
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8])
+@pytest.mark.parametrize("r", [2, 3, 4])
 @pytest.mark.parametrize("symmetry", [False, True])
 def test_shared_tables_match_fresh_probes(k, r, symmetry):
-    # B_max 80 makes the tables grow from 64; 150 makes them grow twice.
-    for B_max in (1, 8, 64, 80, 150):
-        for node_budget in (None, 5, 40):
-            opts = SearchOptions(symmetry_reduction=symmetry, node_budget=node_budget)
-            res = hildebrand_constant(k, B_max, r=r, options=opts)
-            got = (
-                res.status, res.c, res.certificate, res.certificate_for,
-                res.stats.nodes, res.stats.backtracks, res.stats.depth_reached,
-                res.reason,
-            )
-            assert got == fresh_probe_deepening(k, r, B_max, opts), (B_max, node_budget)
+    # B_max 80 makes the tables grow from 64; 150 and 300 make them grow again.
+    runs = [(B_max, budget) for B_max in (1, 8, 64, 80, 150, 300) for budget in (None, 5, 40, 1000)]
+    if (k, r) == (3, 2):
+        # Every small budget: some run out inside a resumed probe, some
+        # inside the prefix a probe would skip, which it then scans afresh.
+        runs += [(200, budget) for budget in range(1, 401)]
+    for B_max, node_budget in runs:
+        opts = SearchOptions(symmetry_reduction=symmetry, node_budget=node_budget)
+        res = hildebrand_constant(k, B_max, r=r, options=opts)
+        got = (
+            res.status, res.c, res.certificate, res.certificate_for,
+            res.stats.nodes, res.stats.backtracks, res.stats.depth_reached,
+            res.reason,
+        )
+        assert got == fresh_probe_deepening(k, r, B_max, opts), (B_max, node_budget)
 
 
 @pytest.mark.parametrize(
     "k, b_max, c, nodes, backtracks",
-    [(2, 100, 9, 51, 28), (3, 200, 77, 1655, 729)],
+    [(2, 100, 9, 51, 28), (3, 200, 77, 1655, 729), (5, 10000, 7888, 5976661, 1770514)],
 )
 def test_cli_constant_pins_answer_and_counts(capsys, k, b_max, c, nodes, backtracks):
     code = cli.main(["constant", "--k", str(k), "--b-max", str(b_max), "--deterministic"])
