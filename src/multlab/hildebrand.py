@@ -35,7 +35,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from itertools import chain, compress, islice, tee
+from itertools import compress, islice
 from typing import Mapping
 
 from .arith import prime_flags
@@ -53,6 +53,9 @@ _CHECK_MASK = 0xFF
 MAX_MODULUS = 2**16
 # Most of 1..B + r - 1 the search tables cover; avoid --k 6 --B 10**6 takes 115 MiB.
 MAX_TABLE_LIMIT = 10**7
+# Starts per chunk of _Tables' owner and first-reader passes; a chunk takes
+# at least r starts, so the r - 1 it shares with the next cost at most half.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -112,17 +115,19 @@ class AvoidanceCertificate:
             raise ValueError(
                 f"certificate misses classes: {n} given, but 2..{x} holds at least {fewest} primes"
             )
-        required = set(compress(range(self.limit + 1), prime_flags(self.limit)))
-        missing = sorted(required - set(self.assignment))
-        extra = sorted(set(self.assignment) - required)
-        if missing:
-            raise ValueError(f"certificate misses classes for primes {missing}")
-        if extra:
-            raise ValueError(
-                f"certificate keys {extra} are not primes in 2..{self.limit}"
-            )
-        bad = sorted(p for p, c in self.assignment.items() if not 0 <= c < self.k)
-        if bad:
+        # One comparison each for the keys and the classes; the sets and the
+        # sorted bad classes are built only to word an error.
+        primes = list(compress(range(self.limit + 1), prime_flags(self.limit)))
+        if sorted(self.assignment) != primes:
+            required = set(primes)
+            missing = sorted(required - set(self.assignment))
+            if missing:
+                raise ValueError(f"certificate misses classes for primes {missing}")
+            extra = sorted(set(self.assignment) - required)
+            raise ValueError(f"certificate keys {extra} are not primes in 2..{self.limit}")
+        classes = self.assignment.values()
+        if not 0 <= min(classes) <= max(classes) < self.k:
+            bad = sorted(p for p, c in self.assignment.items() if not 0 <= c < self.k)
             raise ValueError(f"classes for primes {bad} fall outside 0..{self.k - 1}")
 
     @property
@@ -194,6 +199,25 @@ def certificate_from_dict(doc: object) -> AvoidanceCertificate:
         raise ValueError(f"certificate invalid: {exc}") from exc
 
 
+def _window_extremes(xs: list, r: int, least: bool = False) -> list:
+    """max(xs[j : j + r]), or with least min(xs[j : j + r]), for every j.
+
+    Each pass extends the span of every entry by up to its own width, as
+    find_runs does, so ceil(log2 r) passes of one comparison per entry do
+    the work of r - 1 builtin max or min arguments per entry.  The entries
+    returned are the given xs's own objects.
+    """
+    covered = 1  # xs[j] is the extreme of the given xs[j : j + covered]
+    while covered < r:
+        step = min(covered, r - covered)
+        if least:
+            xs = [x if x < y else y for x, y in zip(xs, islice(xs, step, None))]
+        else:
+            xs = [x if x > y else y for x, y in zip(xs, islice(xs, step, None))]
+        covered += step
+    return xs
+
+
 def _orbit_representatives(k: int) -> list[int]:
     """Least element of each unit orbit in Z/kZ: the divisors gcd(c, k) % k."""
     return sorted({math.gcd(c, k) % k for c in range(k)})
@@ -227,6 +251,15 @@ class _Tables:
     multiples n, so n's largest prime and that prime's full power write last.
     ex is a bytearray; every int entry is taken from one list, nums, of
     0..limit, so an integer held by several lists is one object.
+
+    The owner of the window at a, its largest lpi, is the max of r
+    consecutive entries of lpi, and where the search first reads n is the
+    least owner of the r windows holding n.  _window_extremes finds both by
+    comparisons in doubling passes, one chunk of starts at a time, so no
+    list of all owners is held.  On Python 3.11 a builtin max or min call
+    costs about 150 ns and a conditional expression about 60 ns, and the r
+    iterators per start that builtins need made a build O(r B); the
+    doubling passes make it O(B log r).
     """
 
     def __init__(self, r: int, bound: int):
@@ -250,16 +283,22 @@ class _Tables:
                 ex[q::q] = bytes([e]) * (limit // q)
                 cof[q::q] = nums[1 : limit // q + 1]
                 q, e = q * p, e + 1
-        def owners():  # the largest prime index over a..a+r-1, for a = 1..bound
-            return map(max, *(islice(lpi, 1 + j, bound + 1 + j) for j in range(r)))
+        # For the starts a = lo..hi - 1, own[a - lo] is the owner of the window
+        # at a.  first[n], where the search first reads n, is the least owner
+        # of the windows at n - r + 1..n, so held puts the r - 1 owners before
+        # the chunk (len(primes) where no window starts) ahead of own.
         self.windows = windows = [[] for _ in primes]
-        for a, i in zip(islice(nums, 1, None), owners()):
-            windows[i].append(a)
-        # first[n], where the search first reads n: the least owner of a window
-        # holding n, with no list of all owners, which would raise peak memory.
-        pad = [len(primes)] * (r - 1)
-        shifted = tee(chain(pad, owners(), pad), r)
-        first = [len(primes), *map(min, *(islice(t, j, j + limit) for j, t in enumerate(shifted)))]
+        first, chunk = [len(primes)], max(_CHUNK, r)
+        before = [len(primes)] * (r - 1)
+        for lo in range(1, bound + 1, chunk):
+            hi = min(lo + chunk, bound + 1)
+            own = _window_extremes(lpi[lo : hi + r - 1], r)
+            for a, i in zip(nums[lo:hi], own):
+                windows[i].append(a)
+            held = before + own
+            first += _window_extremes(held, r, least=True)
+            before = held[len(held) - r + 1 :]
+        first += _window_extremes(before + [len(primes)] * (r - 1), r, least=True)
         # n is written at first[n], and reads its cofactor then; cof[n] < n,
         # so a downward pass sees every reader of an integer before it.
         for n in range(limit, 3, -1):

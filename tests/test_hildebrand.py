@@ -24,6 +24,7 @@ from multlab.hildebrand import (
     certificate_to_dict,
     hildebrand_constant,
     _Tables,
+    _window_extremes,
     _zero_masks,
     verify_certificate,
 )
@@ -401,15 +402,35 @@ def test_tables_split_reconstructs_argument(n):
     assert all(q < p for q, _ in trial_division_factors(SPLIT.cof[n]))
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def assert_tables_match_the_spf_walk(r, bound):
+    tables, walk = _Tables(r, bound), spf_tables(r, bound)
+    for name in ("primes", "lpi", "cof", "windows", "fresh", "due"):
+        assert getattr(tables, name) == getattr(walk, name), (bound, name)
+    assert list(tables.ex) == walk.ex, bound
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7, 9, 17])
 def test_tables_match_the_spf_walk(r):
     # Bounds 1..600 meet p**2 - 1, p**2 + 1, higher prime powers and primes
-    # just above limit // 2 for every small p.
-    for bound in [*range(1, 601), 5003, 10**4]:
-        tables, walk = _Tables(r, bound), spf_tables(r, bound)
-        for name in ("primes", "lpi", "cof", "windows", "fresh", "due"):
-            assert getattr(tables, name) == getattr(walk, name), (bound, name)
-        assert list(tables.ex) == walk.ex, bound
+    # just above limit // 2 for every small p; 4095..4097 and 8193 end
+    # just before, at and after a chunk of starts.
+    for bound in [*range(1, 601), 4095, 4096, 4097, 5003, 8193, 10**4]:
+        assert_tables_match_the_spf_walk(r, bound)
+
+
+@pytest.mark.parametrize("r, bound", [(600, 5000), (5000, 50)])
+def test_tables_match_the_spf_walk_for_long_windows(r, bound):
+    # A window of 600 spans a chunk edge; one of 5000 is longer than a
+    # chunk of 4096 starts, and than every start.
+    assert_tables_match_the_spf_walk(r, bound)
+
+
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=40))
+def test_window_extremes_match_max_and_min_of_each_slice(xs):
+    for r in range(1, len(xs) + 1):
+        starts = range(len(xs) - r + 1)
+        assert _window_extremes(xs, r) == [max(xs[j : j + r]) for j in starts]
+        assert _window_extremes(xs, r, least=True) == [min(xs[j : j + r]) for j in starts]
 
 
 def test_tables_hold_one_int_object_per_integer():
