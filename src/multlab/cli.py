@@ -27,9 +27,11 @@ import argparse
 import errno
 import json
 import os
+import shutil
 import stat
 import sys
 from dataclasses import asdict
+from functools import partial
 
 from .arith import int_to_decimal
 from .blockseq import generate_block_sequence, verify_block_divisibility
@@ -436,13 +438,19 @@ def cmd_verify_witness(args) -> int:
 
 
 def build_parser() -> _Parser:
+    # argparse makes a formatter for every argument, and each one asks the
+    # terminal for its width; ask once, and give every formatter the width
+    # HelpFormatter would compute.
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
         prog="multlab",
         description="Laboratory for kernel runs of completely multiplicative functions",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    add_parser = partial(subparsers.add_parser, formatter_class=formatter)
 
-    p = sub.add_parser("constant", help="least bound forcing a kernel run")
+    p = add_parser("constant", help="least bound forcing a kernel run")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, default=2, help="run length (default 2)")
     p.add_argument("--b-max", dest="b_max", type=int, default=100,
@@ -451,7 +459,7 @@ def build_parser() -> _Parser:
     _add_output_flags(p)
     p.set_defaults(handler=cmd_constant)
 
-    p = sub.add_parser("avoid", help="search run-avoiding prime classes at a fixed bound")
+    p = add_parser("avoid", help="search run-avoiding prime classes at a fixed bound")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--B", type=int, required=True, help="no run may start at 1..B")
@@ -459,24 +467,24 @@ def build_parser() -> _Parser:
     _add_output_flags(p)
     p.set_defaults(handler=cmd_avoid)
 
-    p = sub.add_parser("verify-cert", help="recheck an avoidance certificate")
+    p = add_parser("verify-cert", help="recheck an avoidance certificate")
     p.add_argument("path", help="certificate JSON, or a result document containing one")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_cert)
 
-    p = sub.add_parser("runs", help="list kernel-run starting points of a function")
+    p = add_parser("runs", help="list kernel-run starting points of a function")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--bound", type=int, required=True)
     _add_function_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_runs)
 
-    p = sub.add_parser("blockseq", help="generate and verify a block-divisible sequence")
+    p = add_parser("blockseq", help="generate and verify a block-divisible sequence")
     p.add_argument("--n", type=int, required=True, help="last term index")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_blockseq)
 
-    p = sub.add_parser("hindman", help="monochromatic finite-union family search")
+    p = add_parser("hindman", help="monochromatic finite-union family search")
     p.add_argument("--n", type=int, required=True, help="universe is 1..n")
     p.add_argument("--m", type=int, required=True, help="number of blocks")
     p.add_argument("--coloring", required=True,
@@ -490,7 +498,7 @@ def build_parser() -> _Parser:
     _add_output_flags(p)
     p.set_defaults(handler=cmd_hindman)
 
-    p = sub.add_parser("witness", help="find a finite-sums witness")
+    p = add_parser("witness", help="find a finite-sums witness")
     p.add_argument("--method", required=True, choices=["proof", "direct"])
     p.add_argument("--m", type=int, required=True,
                    help="blocks (proof method) or generators (direct method)")
@@ -507,7 +515,7 @@ def build_parser() -> _Parser:
     _add_output_flags(p)
     p.set_defaults(handler=cmd_witness)
 
-    p = sub.add_parser("verify-witness", help="recheck a finite-sums witness")
+    p = add_parser("verify-witness", help="recheck a finite-sums witness")
     p.add_argument("path", help="witness JSON, or a result document containing one")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_verify_witness)

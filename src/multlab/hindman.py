@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import compress
@@ -34,8 +35,12 @@ from .blockseq import all_subset_sums, normalize_index_set, precedes
 
 Block = tuple[int, ...]
 
-# Largest universe random_coloring tabulates: 2^20 colors (~8 MiB, ~0.6 s).
+# Largest universe random_coloring tabulates: 2^20 colors (~8 MiB, ~0.06 s).
 MAX_RANDOM_N = 20
+# Most colors random_coloring draws: one 32-bit word holds one draw.
+MAX_RANDOM_CLASSES = (1 << 32) - 1
+# Words per getrandbits call in random_coloring: 256 KiB of draws at a time.
+_DRAW_WORDS = 1 << 16
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -335,17 +340,66 @@ def random_coloring(n: int, classes: int, seed: int) -> SubsetColoring:
     The colors are tabulated in a list indexed by block mask, 2^n entries,
     so n is capped at MAX_RANDOM_N and refused before anything is drawn.
     The list is the coloring's table, which the search reads directly.
+
+    Block i in canonical order gets the i-th value of
+    Random(seed).randint(1, classes), drawn in bulk (_randint_draws).  The
+    blocks whose largest element is mx are the masks low, 3 * low, ...
+    below 2^n, low = 2^(n - mx), drawn in descending order, so each block
+    size mx takes its colors with one reversed slice.  Up to 255 classes
+    the colors are bytes, placed in a bytearray and listed once at the end.
     """
     if n > MAX_RANDOM_N:
         raise ValueError(
             f"random coloring tabulates 2^n - 1 subsets; n = {n} exceeds the cap {MAX_RANDOM_N}"
         )
+    if classes > MAX_RANDOM_CLASSES:
+        raise ValueError(
+            "random coloring draws each color from one 32-bit word; "
+            f"classes = {classes} exceeds the cap {MAX_RANDOM_CLASSES}"
+        )
     # Built first so n and classes are validated before the table exists;
     # the lookup reads table only when called.
     coloring = SubsetColoring(n, classes, lambda b: table[_mask_of(b, n)])
-    table = [0] * (1 << n)
-    draw = random.Random(seed).randint
+    colors = _randint_draws(random.Random(seed), classes, (1 << n) - 1)
+    table = bytearray(1 << n) if classes < 256 else [0] * (1 << n)
     for mx in range(1, n + 1):
-        for mask in _block_masks(1, mx, n):
-            table[mask] = draw(1, classes)
+        low, size = 1 << (n - mx), 1 << (mx - 1)
+        table[low::2 * low] = colors[size - 1:2 * size - 1][::-1]
+    del colors  # freed before the bytes become a list
+    if classes < 256:
+        table = list(table)
     return replace(coloring, table=table)
+
+
+def _randint_draws(rng: random.Random, classes: int, count: int) -> bytearray | list[int]:
+    """The next count values of rng.randint(1, classes), drawn in bulk.
+
+    On CPython 3.10-3.13, randint(1, classes) is 1 + r for the first r <
+    classes among the top k = classes.bit_length() bits of successive
+    32-bit Mersenne Twister words, and getrandbits(32 * w) holds the next w
+    words, the first lowest.  So the words are drawn in chunks of at most
+    _DRAW_WORDS, read as little-endian bytes, and filtered.  Up to 255
+    classes (k <= 8) the colors are a bytearray: the top byte of each word
+    is translated to its color and the rejected bytes are deleted, in one
+    bytes.translate per chunk.  More classes give a list, one comprehension
+    per chunk over the words unpacked as little-endian.  A draw is kept
+    with probability at least 1/2, so a chunk asks for twice the colors
+    still missing, plus a few; the draws past count are discarded.
+    """
+    k = classes.bit_length()
+    if classes < 256:
+        colors = bytearray()
+        keep = bytes(min(255, 1 + (b >> (8 - k))) for b in range(256))
+        drop = bytes(b for b in range(256) if b >> (8 - k) >= classes)
+    else:
+        colors = []
+    while len(colors) < count:
+        words = min(_DRAW_WORDS, 2 * (count - len(colors)) + 64)
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        if classes < 256:
+            colors += raw[3::4].translate(keep, drop)
+        else:
+            tops = (w >> (32 - k) for (w,) in struct.iter_unpack("<I", raw))
+            colors += [r + 1 for r in tops if r < classes]
+    del colors[count:]
+    return colors

@@ -3,6 +3,7 @@ import hashlib
 import json
 import pathlib
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -678,6 +679,9 @@ BOUNDARY_CASES = [
     ("hindman --n 4 --m 0 --coloring size-parity", 1, "family size must be >= 1, got 0"),
     ("hindman --n 40 --m 2 --coloring random", 1,
      "random coloring tabulates 2^n - 1 subsets; n = 40 exceeds the cap 20"),
+    ("hindman --n 3 --m 2 --coloring random --classes 4294967296", 1,
+     "random coloring draws each color from one 32-bit word; "
+     "classes = 4294967296 exceeds the cap 4294967295"),
     ("hindman --n 9 --m 4 --coloring function --k 4 --primes 2:1", 1, REFUSING_S8),
     ("hindman --n 12 --m 6 --coloring random --node-budget 5", 2, None),
     ("hindman --n 4 --m 2 --coloring size-parity --node-budget 0", 1,
@@ -800,3 +804,37 @@ def test_scripts_refuse_out_of_range_arguments(script, args, message):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr == f"{script[:-3]}: error: {message}\n"
+
+
+COMMANDS = ["constant", "avoid", "verify-cert", "runs", "blockseq", "hindman", "witness",
+            "verify-witness"]
+
+
+@pytest.mark.parametrize("columns", [40, 80, 200])
+def test_help_wraps_as_a_default_formatter_would(columns, monkeypatch, capsys):
+    # build_parser asks the terminal for its width once and hands it to
+    # every formatter; each --help must read as argparse's own formatter,
+    # which asks the terminal itself, writes it.
+    monkeypatch.setenv("COLUMNS", str(columns))
+    parser = cli.build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(COMMANDS)
+    for argv, p in [([], parser), *(([c], subparsers.choices[c]) for c in COMMANDS)]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--help"])
+        assert exc.value.code == 0
+        p.formatter_class = argparse.HelpFormatter
+        assert capsys.readouterr().out == p.format_help()
+
+
+def test_parser_asks_the_terminal_width_once(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    cli.build_parser()
+    assert len(calls) == 1

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multlab.hindman import (
+    MAX_RANDOM_CLASSES,
     MAX_RANDOM_N,
     BlockFamily,
     SearchBudgetExceeded,
@@ -157,6 +158,57 @@ def test_random_coloring_draws_in_block_order(n, classes, seed):
     table = seeded_table(n, classes, seed)
     coloring = random_coloring(n, classes, seed)
     assert all(coloring.color_of(block) == c for block, c in table.items())
+
+
+def randint_table(n, classes, seed):
+    """seeded_table by block mask: the list random_coloring must return."""
+    table = [0] * (1 << n)
+    for block, c in seeded_table(n, classes, seed).items():
+        table[_mask_of(block, n)] = c
+    return table
+
+
+# Every bit length a color can have, at its edges: a draw keeps the top
+# classes.bit_length() bits of a 32-bit word, a byte up to 255 classes.
+BIT_LENGTH_EDGES = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 127, 128, 129, 255, 256, 257, 300,
+                    1 << 31, MAX_RANDOM_CLASSES]
+
+
+@pytest.mark.parametrize("seed", [0, -12345, (1 << 64) + 7])
+@pytest.mark.parametrize("n", [1, 2, 8, 15])
+@pytest.mark.parametrize("classes", BIT_LENGTH_EDGES)
+def test_random_coloring_draws_as_randint_does(classes, n, seed):
+    assert random_coloring(n, classes, seed).table == randint_table(n, classes, seed)
+
+
+@pytest.mark.parametrize("classes", [2, 300])
+def test_random_coloring_draws_as_randint_does_past_one_chunk(classes):
+    # 2^16 - 1 colors take more than one chunk of 2^16 words.
+    assert random_coloring(16, classes, 3).table == randint_table(16, classes, 3)
+
+
+def test_random_coloring_refuses_more_classes_than_a_word_holds():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"exceeds the cap {MAX_RANDOM_CLASSES}$"):
+            random_coloring(MAX_RANDOM_N, MAX_RANDOM_CLASSES + 1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_largest_random_coloring_draws_in_chunks():
+    # Beyond the 2^20-entry table itself, the draws take a chunk of words
+    # at a time and a byte per color.
+    tracemalloc.start()
+    try:
+        coloring = random_coloring(MAX_RANDOM_N, 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(coloring.table) == 1 << MAX_RANDOM_N
+    assert peak - (8 << MAX_RANDOM_N) < 2 << 20
 
 
 @given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 4), st.integers(0, 10**6))
