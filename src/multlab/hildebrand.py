@@ -339,15 +339,19 @@ _zero_masks = lru_cache(maxsize=16)(_ZeroMasks)
 
 
 def _first_change(
-    tables: _Tables, i: int, B: int, bound: float, ban: int, zero, k: int, val: list, cls: list
+    tables: _Tables, i: int, j: int, B: int, bound: float,
+    ban: int, zero, k: int, val: list, cls: list,
 ) -> int | None:
     """The least window a, B < a < bound, of prime index i that adds a class to ban.
 
     A window adds one when its elements other than the one i owns are all
     in the kernel, and that element's kernel classes are not all in ban.
-    Called on entering i at B, with ban its forbidden mask there: val then
-    holds the elements up to top = B + r - 1, and an element past top is
-    summed over its prime powers, whose primes all lie below i.
+    Called on entering i at B, with ban its forbidden mask there and j the
+    index of the first window past B in windows[i]: val then holds the
+    elements up to top = B + r - 1, read with one slice, and an element
+    past top is summed over its prime powers, whose primes all lie below i.
+    The element i owns is in fresh[i], so at or below top it reads 0 and
+    the slice may hold it.
     """
     r, lpi, cof, ex = tables.r, tables.lpi, tables.cof, tables.ex
     top, p, windows = B + r - 1, tables.primes[i], tables.windows[i]
@@ -359,11 +363,13 @@ def _first_change(
             n = cof[n]
         return (v + val[n]) % k
 
-    for a in islice(windows, bisect_right(windows, B), None):
+    for a in islice(windows, j, None):
         if a >= bound:
             break
+        if any(val[a : min(a + r, top + 1)]):
+            continue
         n = a + -a % p
-        if any(value(m) for m in range(a, a + r) if m != n):
+        if any(value(m) for m in range(max(a, top + 1), a + r) if m != n):
             continue
         if zero[value(cof[n])][ex[n]] & ~ban:
             return a
@@ -402,8 +408,10 @@ def _run_dfs(
     a class from a window past B, with equal counters there.  So each entry
     also finds its least window a past B that would add a class and, if a
     is below every bound on the stack, pushes a with a copy of the state at
-    the entry; a sat scan pushes its final state for B + 1 unless that
-    bound is already there.  The bounds fall toward the top, and the probe
+    the entry.  One bisection first tells whether i has a window in
+    (B, bound) at all; most entries have none and skip that scan.  A sat
+    scan pushes its final state for B + 1 unless that bound is already
+    there.  The bounds fall toward the top, and the probe
     at B pops the entry for B and resumes it, first writing the integers
     past that entry's top whose largest prime is set: the only ones the
     skipped prefix writes.  A probe whose node budget runs out inside the
@@ -451,8 +459,11 @@ def _run_dfs(
             forbidden[i] = ban
             if stack is not None and ban != every:
                 bound = stack[-1][0] if stack else math.inf
-                a = _first_change(tables, i, B, bound, ban, zero, k, val, cls)
-                if a is not None:
+                # Most entries have no window of i in (B, bound) to scan.
+                w, j = windows[i], bisect_right(windows[i], B)
+                if j < len(w) and w[j] < bound and (
+                    a := _first_change(tables, i, j, B, bound, ban, zero, k, val, cls)
+                ) is not None:
                     copies = val[:], cls[:], pos[:], forbidden[:]
                     stack.append((a, (i, *copies, nodes, backtracks, depth_reached, top)))
         ban = forbidden[i]

@@ -163,10 +163,12 @@ def test_huge_deepening_bound_allocates_nothing_up_front():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8])
-@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4, 12])
 @pytest.mark.parametrize("symmetry", [False, True])
 def test_shared_tables_match_fresh_probes(k, r, symmetry):
     # B_max 80 makes the tables grow from 64; 150 and 300 make them grow again.
+    # At r = 12, k = 2 pushes windows that start at or below top, where
+    # _first_change reads one slice of val and sums the rest.
     runs = [(B_max, budget) for B_max in (1, 8, 64, 80, 150, 300) for budget in (None, 5, 40, 1000)]
     if (k, r) == (3, 2):
         # Every small budget: some run out inside a resumed probe, some
@@ -184,8 +186,41 @@ def test_shared_tables_match_fresh_probes(k, r, symmetry):
 
 
 @pytest.mark.parametrize(
+    "k, r, b_max, pushes, nodes, backtracks",
+    [(4, 2, 1300, 136, 199554, 66141), (3, 3, 1500, 100, 385733, 191557)],
+)
+def test_first_change_runs_only_with_a_window_to_scan(
+    monkeypatch, k, r, b_max, pushes, nodes, backtracks
+):
+    # Each call must have a window of prime i in (B, bound), found at j; the
+    # element i owns there reads 0 at or below top, so the slice may hold it.
+    first_change, pushed = hildebrand._first_change, []
+
+    def checked(tables, i, j, B, bound, ban, zero, modulus, val, cls):
+        windows, top = tables.windows[i], B + r - 1
+        assert j == bisect_right(windows, B) < len(windows) and windows[j] < bound
+        p = tables.primes[i]
+        for a in takewhile(lambda a: a < bound, windows[j:]):
+            n = a + -a % p
+            assert n > top or val[n] == 0
+        a = first_change(tables, i, j, B, bound, ban, zero, modulus, val, cls)
+        if a is not None:
+            pushed.append(a)
+        return a
+
+    monkeypatch.setattr(hildebrand, "_first_change", checked)
+    res = hildebrand_constant(k, b_max, r=r)
+    assert (len(pushed), res.stats.nodes, res.stats.backtracks) == (pushes, nodes, backtracks)
+
+
+@pytest.mark.parametrize(
     "k, b_max, c, nodes, backtracks",
-    [(2, 100, 9, 51, 28), (3, 200, 77, 1655, 729), (5, 10000, 7888, 5976661, 1770514)],
+    [
+        (2, 100, 9, 51, 28),
+        (3, 200, 77, 1655, 729),
+        (4, 1300, 1224, 199554, 66141),
+        (5, 10000, 7888, 5976661, 1770514),
+    ],
 )
 def test_cli_constant_pins_answer_and_counts(capsys, k, b_max, c, nodes, backtracks):
     code = cli.main(["constant", "--k", str(k), "--b-max", str(b_max), "--deterministic"])
