@@ -5,7 +5,7 @@ For each modulus k the deepening search either lands on the constant
 ceiling.  Up to k = 4 (c = 1, 9, 77, 1224) each finishes in under 0.1 s.
 The budget counts nodes as if every probe searched from scratch, though
 each resumes the previous one: k = 5 needs 5 976 661 nodes, past the
-default budget, so it stops at deepest sat B = 7278 after about 0.3 s.
+default budget, so it stops at deepest sat B = 7278 after 0.3-0.5 s.
 
     python3 scripts/constants_table.py --k-max 4 --b-max 2000
 """

@@ -11,7 +11,7 @@ exponential, hence the digit limit on every term built.  The same
 recurrence taken mod q gives s_0..s_n mod q (term_residues) without
 forming any term, which is all a p-adic valuation of a block sum needs.
 Every finite-sum or finite-union closure in multlab is all_subset_sums,
-but for fs_closure (it drops repeats) and the searches (they grow theirs).
+but for the searches (they grow theirs).
 """
 
 from __future__ import annotations

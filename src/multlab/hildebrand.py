@@ -25,7 +25,9 @@ lex-least answer.
 A sat outcome's certificate is built and rechecked by run scan when first
 read; the deepening reads only the one it reports (see hildebrand_constant).
 The deepening resumes each probe where the scan first departs from the
-previous probe's, with every count as if the probe had scanned afresh.
+previous probe's, with every count as if the probe had scanned afresh;
+the table of classes spans every integer the tables cover, so one pass
+over a prime's windows finds both its forbidden classes and that point.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ def certificate_from_dict(doc: object) -> AvoidanceCertificate:
     if not isinstance(doc, dict):
         raise ValueError("certificate must be a JSON object")
     for name in ("k", "r", "B"):
-        if not isinstance(doc.get(name), int):
+        if type(doc.get(name)) is not int:
             raise ValueError(f"certificate field {name!r} must be an integer")
     assignment = assignment_from_pairs(doc.get("assignment"), "certificate field 'assignment'")
     try:
@@ -243,8 +245,10 @@ class _Tables:
 
     Each n >= 2 is in exactly one fresh or due list, so an integer no
     window reads until deep in the search costs nothing before then.  The
-    lists are appended in increasing order, so the tables of any B <= bound
-    are a prefix of each, and a smaller B only drops readers.
+    lists are appended in increasing order, so the windows of any B <= bound
+    are a prefix of each windows[i].  A search at any such B writes fresh
+    and due whole: the integers past B + r - 1 change none of its decisions,
+    and once it enters i every element of every window of i is written.
 
     Slices write the split, with no factor sieve: each prime p in increasing
     order, then each power q = p**e, writes its index, e and n / q at its
@@ -338,44 +342,6 @@ class _ZeroMasks(dict):
 _zero_masks = lru_cache(maxsize=16)(_ZeroMasks)
 
 
-def _first_change(
-    tables: _Tables, i: int, j: int, B: int, bound: float,
-    ban: int, zero, k: int, val: list, cls: list,
-) -> int | None:
-    """The least window a, B < a < bound, of prime index i that adds a class to ban.
-
-    A window adds one when its elements other than the one i owns are all
-    in the kernel, and that element's kernel classes are not all in ban.
-    Called on entering i at B, with ban its forbidden mask there and j the
-    index of the first window past B in windows[i]: val then holds the
-    elements up to top = B + r - 1, read with one slice, and an element
-    past top is summed over its prime powers, whose primes all lie below i.
-    The element i owns is in fresh[i], so at or below top it reads 0 and
-    the slice may hold it.
-    """
-    r, lpi, cof, ex = tables.r, tables.lpi, tables.cof, tables.ex
-    top, p, windows = B + r - 1, tables.primes[i], tables.windows[i]
-
-    def value(n):
-        v = 0
-        while n > top:
-            v += ex[n] * cls[lpi[n]]
-            n = cof[n]
-        return (v + val[n]) % k
-
-    for a in islice(windows, j, None):
-        if a >= bound:
-            break
-        if any(val[a : min(a + r, top + 1)]):
-            continue
-        n = a + -a % p
-        if any(value(m) for m in range(max(a, top + 1), a + r) if m != n):
-            continue
-        if zero[value(cof[n])][ex[n]] & ~ban:
-            return a
-    return None
-
-
 def _run_dfs(
     k: int,
     tables: _Tables,
@@ -387,64 +353,60 @@ def _run_dfs(
 ):
     """Backtracking scan at B; returns (status, classes, reason, nodes, backtracks, depth).
 
-    The tables are read in place, each list up to its first entry past B
-    (windows) or past top = B + r - 1 (primes, fresh and due).  val[n]
-    holds the class of n under the classes currently set, and 0 for the n
-    in fresh[i] while prime index i holds none.  Entering i writes val for
-    due[i], then passes once over the windows of i for forbidden[i], the
-    mask of the classes making one of them a kernel run: a window whose
-    values all read 0 forbids those putting its element owned by i in the
-    kernel.  Trying class c tests bit c; the class kept writes val for
-    fresh[i], and exhausting i clears it.  So every value read was written
-    on the current path, and every window is tested once per entry into
-    its largest prime.  Nodes and backtracks count classes tried and
-    rejected (plus primes exhausted), as in a search testing the windows
-    of every class tried from scratch.
+    The tables are read in place: the primes up to B + r - 1, the windows
+    of each up to B, and every fresh and due list whole.  val[n] holds the
+    class of n under the classes currently set, for every n the tables
+    cover, and 0 for the n in fresh[i] while prime index i holds none.
+    Entering i writes val for due[i], then passes once over the windows of
+    i for forbidden[i], the mask of the classes making one of them a kernel
+    run: a window whose values all read 0 forbids those putting its element
+    owned by i in the kernel.  Trying class c tests bit c; the class kept
+    writes val for fresh[i], and exhausting i clears it.  So every value
+    read was written on the current path, and every window is tested once
+    per entry into its largest prime.  Nodes and backtracks count classes
+    tried and rejected (plus primes exhausted), as in a search testing the
+    windows of every class tried from scratch.
 
     With stack, a deepening over B = 1, 2, ... resumes each probe rather
-    than rescanning.  The scan at B + 1 has one more window, B + 1, and
-    writes one more integer.  Writes change no decision, so it repeats the
-    scan at B up to the first entry into a prime whose forbidden mask gains
-    a class from a window past B, with equal counters there.  So each entry
-    also finds its least window a past B that would add a class and, if a
-    is below every bound on the stack, pushes a with a copy of the state at
-    the entry.  One bisection first tells whether i has a window in
-    (B, bound) at all; most entries have none and skip that scan.  A sat
-    scan pushes its final state for B + 1 unless that bound is already
-    there.  The bounds fall toward the top, and the probe
-    at B pops the entry for B and resumes it, first writing the integers
-    past that entry's top whose largest prime is set: the only ones the
-    skipped prefix writes.  A probe whose node budget runs out inside the
-    skipped prefix (state[5] holds its nodes) starts from scratch, so its
-    counts stay exact; it ends unknown, and with it the deepening.
+    than rescanning.  val depends on the classes set and not on B, so the
+    scan at a > B repeats the scan at B, counters and all, up to the first
+    entry into a prime whose forbidden mask gains a class from a window in
+    (B, a].  Every element of a window of i is written by the time i is
+    entered, so the forbidden pass of a deepening reads on past B, up to
+    the bound at the top of the stack.  The first window a there whose
+    values all read 0, and whose owned element's kernel classes are not all
+    in the mask, is where the scan first departs: the entry pushes a with a
+    copy of its state.  A sat scan pushes its final state for B + 1 unless
+    that bound is already there.  The bounds fall toward the top, and the
+    probe at B pops the entry for B and resumes it.  A probe whose node
+    budget runs out inside the skipped prefix (state[5] holds its nodes)
+    starts from scratch, so its counts stay exact; it ends unknown, and
+    with it the deepening.
     """
     r, lpi, cof, ex = tables.r, tables.lpi, tables.cof, tables.ex
     primes, fresh, due, windows = tables.primes, tables.fresh, tables.due, tables.windows
-    top = B + r - 1
-    nprimes = bisect_right(primes, top)
+    nprimes = bisect_right(primes, B + r - 1)
     zero = _zero_masks(k, (len(cof) - 1).bit_length())
     every, last, middle = (1 << k) - 1, r - 1, r > 2
     later = tuple(range(k))
     state = stack.pop()[1] if stack and stack[-1][0] == B else None
     if state is None or node_budget is not None and state[5] > node_budget:
-        val = [0] * (top + 1)
+        val = [0] * len(cof)
         cls, forbidden, pos = [0] * len(primes), [0] * len(primes), [0] * (len(primes) + 1)
         i = nodes = backtracks = depth_reached = 0
     else:
-        i, val, cls, pos, forbidden, nodes, backtracks, depth_reached, old_top = state
-        for n in range(old_top + 1, top + 1):
-            val.append((val[cof[n]] + ex[n] * cls[lpi[n]]) % k if lpi[n] < i else 0)
+        i, val, cls, pos, forbidden, nodes, backtracks, depth_reached = state
 
     while i < nprimes:
         classes = first_classes if i == 0 else later
         if not pos[i]:
             for n in due[i]:
-                if n > top:
-                    break
                 val[n] = (val[cof[n]] + ex[n] * cls[lpi[n]]) % k
             ban, p = 0, primes[i]
+            # A deepening reads on, up to the bound at the top of the stack.
+            stop = B if stack is None else (stack[-1][0] - 1 if stack else math.inf)
             for a in windows[i]:
-                if a > B:
+                if a > stop:
                     break
                 # Most windows hold a value outside the kernel for good.
                 if val[a] or val[a + last] or middle and any(val[a + 1 : a + last]):
@@ -453,19 +415,16 @@ def _run_dfs(
                 # would bring in all of pm..pm + p, which has a prime factor
                 # above p (Bertrand for m = 1, Sylvester's theorem for m > 1).
                 n = a + -a % p
-                ban |= zero[val[cof[n]]][ex[n]]
-                if ban == every:
+                kernel = zero[val[cof[n]]][ex[n]]
+                if a <= B:
+                    ban |= kernel
+                    if ban == every:
+                        break
+                elif kernel & ~ban:
+                    copies = val[:], cls[:], pos[:], forbidden[:]
+                    stack.append((a, (i, *copies, nodes, backtracks, depth_reached)))
                     break
             forbidden[i] = ban
-            if stack is not None and ban != every:
-                bound = stack[-1][0] if stack else math.inf
-                # Most entries have no window of i in (B, bound) to scan.
-                w, j = windows[i], bisect_right(windows[i], B)
-                if j < len(w) and w[j] < bound and (
-                    a := _first_change(tables, i, j, B, bound, ban, zero, k, val, cls)
-                ) is not None:
-                    copies = val[:], cls[:], pos[:], forbidden[:]
-                    stack.append((a, (i, *copies, nodes, backtracks, depth_reached, top)))
         ban = forbidden[i]
         while pos[i] < len(classes):
             c = classes[pos[i]]
@@ -480,8 +439,6 @@ def _run_dfs(
                 continue
             cls[i] = c
             for n in fresh[i]:
-                if n > top:
-                    break
                 val[n] = (val[cof[n]] + ex[n] * c) % k
             i += 1
             if i > depth_reached:
@@ -493,13 +450,11 @@ def _run_dfs(
                 return UNSAT, None, None, nodes, backtracks, depth_reached
             if ban != every:  # some class was kept, so fresh[i] was written
                 for n in fresh[i]:
-                    if n > top:
-                        break
                     val[n] = 0
             i -= 1
             backtracks += 1
     if stack is not None and (not stack or stack[-1][0] > B + 1):
-        stack.append((B + 1, (i, val, cls, pos, forbidden, nodes, backtracks, depth_reached, top)))
+        stack.append((B + 1, (i, val, cls, pos, forbidden, nodes, backtracks, depth_reached)))
     return SAT, cls[:nprimes], None, nodes, backtracks, depth_reached
 
 
@@ -526,7 +481,8 @@ def avoidance_search(
     The scan is sequential, so a sat outcome carries the lexicographically
     least certificate, built and rechecked when first read (SearchOutcome).
     _tables, built for the same r and a bound >= B, replaces building
-    tables for B alone; the probe reads it in place.  _stack, kept by a
+    tables for B alone; the probe reads it in place and writes the class
+    of every integer it covers.  _stack, kept by a
     deepening with those tables, resumes the probe (see _run_dfs).
     """
     _check_problem(k, r)

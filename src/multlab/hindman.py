@@ -9,11 +9,11 @@ families; here the universe is finite, so the search can genuinely fail.
 Blocks are scanned in a fixed canonical order, by maximum element and then
 lexicographically, which makes the first family found a deterministic
 function of the coloring.  Inside the search a block is an integer
-bitmask and a union is a bitwise or.  A coloring tabulated in a list
-(random_coloring, at most 255 colors) is searched on candidate bitsets:
-one 2^n-bit int per color marks the masks of that color, and one shift
-and AND per chosen block leaves the candidates that keep every union
-monochromatic.  Any other coloring is scanned one candidate at a time,
+bitmask and a union is a bitwise or.  A coloring tabulated in a
+bytearray (random_coloring, at most 255 colors) is searched on candidate
+bitsets: one 2^n-bit int per color marks the masks of that color, and one
+shift and AND per chosen block leaves the candidates that keep every
+union monochromatic.  Any other coloring is scanned one candidate at a time,
 its colors read by mask: computed from the mask (the parity colorings,
 block_sum_coloring's), or asked once per subset and memoized.  Those
 universes go up to n = 60, far past any table.  The node count, and so
@@ -62,9 +62,9 @@ class SubsetColoring:
 
     color maps a block (a sorted tuple) to its color.  table, when given,
     gives the same colors by block mask (element i is bit n - i, see
-    _block_masks), already in 1..classes: a list, or an object that
-    computes them from the mask and stores nothing.  The search then reads
-    it directly and never calls color_of.
+    _block_masks), already in 1..classes: a bytearray or a list, or an
+    object that computes them from the mask and stores nothing.  The
+    search then reads it directly and never calls color_of.
     """
 
     n: int
@@ -165,10 +165,10 @@ def monochromatic_fu_search(
     Depth-first over blocks in canonical order; a partial family is
     extended only while every union formed so far has the color of A_1,
     which is exactly the hereditary restriction of the final condition.
-    A coloring whose table is a list of at most 255 colors (random_coloring)
-    is searched on candidate bitsets (_bitset_search); any other is scanned
-    one candidate at a time (_scan_search), colors read by mask as the
-    module docstring says, so a computed coloring costs memory for the
+    A coloring whose table is a bytearray (random_coloring, at most 255
+    colors) is searched on candidate bitsets (_bitset_search); any other
+    is scanned one candidate at a time (_scan_search), colors read by mask
+    as the module docstring says, so a computed coloring costs memory for the
     subsets colored, never 2^n up front.  Both find the same family in the
     same number of nodes.  The family found is rechecked on the subset sums
     of its masks.
@@ -182,7 +182,7 @@ def monochromatic_fu_search(
     limit = node_limit(node_budget)
     n = coloring.n
     color = coloring.table
-    if isinstance(color, list) and coloring.classes < 256:
+    if isinstance(color, bytearray):
         found = _bitset_search(color, n, m, limit)
     else:
         if color is None:
@@ -251,8 +251,8 @@ def bits_where(values: bytes, value: int) -> int:
     return int(values[::-1].translate(digits), 2)
 
 
-def _bitset_search(table: list[int], n: int, m: int, limit: float) -> list[int] | None:
-    """The search on candidate bitsets over a list table.
+def _bitset_search(table: bytearray, n: int, m: int, limit: float) -> list[int] | None:
+    """The search on candidate bitsets over a byte table.
 
     After blocks A_1..A_j of color t, the next block is a mask x below
     the lowest bit of A_j with x | u of color t for every union u of the
@@ -260,8 +260,7 @@ def _bitset_search(table: list[int], n: int, m: int, limit: float) -> list[int] 
     so x | u = x + u, and those x are the set bits of an int C: C starts
     as the masks of color t, and choosing g makes it C & (C >> g), cut
     below the lowest bit of g.  The int of a color is built the first time
-    a first block has that color, from one byte per mask, so the table's
-    colors must fit in a byte.
+    a first block has that color, from the table's byte per mask.
 
     Survivors are visited in canonical order.  Among the masks below 2^w
     (the blocks over {lo..n}, w = n - lo + 1), the mask x of lowest bit
@@ -269,7 +268,6 @@ def _bitset_search(table: list[int], n: int, m: int, limit: float) -> list[int] 
     node count adds the gaps between survivors, so every candidate skipped
     counts as examined, as in the scan.
     """
-    colors = bytes(table)
     color_bits = {}
     nodes = 0
 
@@ -307,7 +305,7 @@ def _bitset_search(table: list[int], n: int, m: int, limit: float) -> list[int] 
                 raise _over_budget(limit)
             t = table[block]
             if t not in color_bits:
-                color_bits[t] = bits_where(colors, t)
+                color_bits[t] = bits_where(table, t)
             low = block & -block
             inner = color_bits[t] & (color_bits[t] >> block) & ((1 << low) - 1)
             if inner:
@@ -337,16 +335,16 @@ def max_parity_coloring(n: int) -> SubsetColoring:
 def random_coloring(n: int, classes: int, seed: int) -> SubsetColoring:
     """Seeded uniform coloring, fixed by drawing subsets in canonical order.
 
-    The colors are tabulated in a list indexed by block mask, 2^n entries,
-    so n is capped at MAX_RANDOM_N and refused before anything is drawn.
-    The list is the coloring's table, which the search reads directly.
+    The colors are tabulated by block mask, 2^n entries, so n is capped at
+    MAX_RANDOM_N and refused before anything is drawn.  The table is the
+    coloring's, which the search reads directly: a bytearray up to 255
+    classes (1 MiB at n = 20), else a list.
 
     Block i in canonical order gets the i-th value of
     Random(seed).randint(1, classes), drawn in bulk (_randint_draws).  The
     blocks whose largest element is mx are the masks low, 3 * low, ...
     below 2^n, low = 2^(n - mx), drawn in descending order, so each block
-    size mx takes its colors with one reversed slice.  Up to 255 classes
-    the colors are bytes, placed in a bytearray and listed once at the end.
+    size mx takes its colors with one reversed slice.
     """
     if n > MAX_RANDOM_N:
         raise ValueError(
@@ -365,9 +363,6 @@ def random_coloring(n: int, classes: int, seed: int) -> SubsetColoring:
     for mx in range(1, n + 1):
         low, size = 1 << (n - mx), 1 << (mx - 1)
         table[low::2 * low] = colors[size - 1:2 * size - 1][::-1]
-    del colors  # freed before the bytes become a list
-    if classes < 256:
-        table = list(table)
     return replace(coloring, table=table)
 
 

@@ -167,7 +167,7 @@ def assignment_from_pairs(raw: object, field: str) -> dict[int, int]:
         if (
             not isinstance(entry, (list, tuple))
             or len(entry) != 2
-            or not all(isinstance(x, int) for x in entry)
+            or not all(type(x) is int for x in entry)
         ):
             raise ValueError(f"{field} must contain [prime, class] integer pairs")
         p, c = entry
@@ -182,7 +182,7 @@ def function_from_dict(doc: object) -> MultiplicativeFunction:
     if not isinstance(doc, dict):
         raise ValueError("function spec must be a JSON object")
     k = doc.get("k")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError("function spec field 'k' must be a positive integer")
     mode = doc.get("mode", FINITE_SUPPORT)
     if mode not in (FINITE_SUPPORT, SIEVE_BOUNDED):
@@ -190,10 +190,10 @@ def function_from_dict(doc: object) -> MultiplicativeFunction:
             f"function spec field 'mode' must be {FINITE_SUPPORT!r} or {SIEVE_BOUNDED!r}"
         )
     limit = doc.get("limit")
-    if limit is not None and not isinstance(limit, int):
+    if limit is not None and type(limit) is not int:
         raise ValueError("function spec field 'limit' must be an integer or null")
     default = doc.get("default", 0)
-    if not isinstance(default, int):
+    if type(default) is not int:
         raise ValueError("function spec field 'default' must be an integer")
     assignment = assignment_from_pairs(
         doc.get("assignment", []), "function spec field 'assignment'"

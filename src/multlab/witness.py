@@ -93,11 +93,7 @@ def fs_closure(generators: tuple[int, ...]) -> list[int]:
     """Distinct nonempty subset sums of the generators, sorted."""
     if not generators:
         raise ValueError("finite-sums closure needs at least one generator")
-    sums = {0}
-    for g in generators:
-        sums |= {s + g for s in sums}
-    sums.discard(0)
-    return sorted(sums)
+    return sorted(set(all_subset_sums(generators)[1:]))
 
 
 def first_violation(witness: IPWitness) -> int | None:
@@ -292,7 +288,7 @@ def witness_to_dict(witness: IPWitness) -> dict:
 
 def _parse_big(value: object, where: str) -> int:
     """An integer, or a decimal string of at most MAX_DECIMAL_DIGITS digits."""
-    if isinstance(value, int):
+    if type(value) is int:  # bool is an int subclass; JSON true is no number
         return value
     if isinstance(value, str):
         if len(value) > MAX_DECIMAL_DIGITS:
@@ -312,8 +308,8 @@ def witness_from_dict(doc: object) -> IPWitness:
         raise ValueError("witness must be a JSON object")
     func = function_from_dict(doc.get("function"))
     k = doc.get("k")
-    if k is not None and k != func.k:
-        raise ValueError(f"witness field 'k' is {k} but the function has k = {func.k}")
+    if k is not None and (type(k) is not int or k != func.k):
+        raise ValueError(f"witness field 'k' is {k!r} but the function has k = {func.k}")
     provenance = doc.get("provenance")
     if provenance not in (PROOF_PIPELINE, DIRECT_SEARCH):
         raise ValueError(
@@ -327,7 +323,7 @@ def witness_from_dict(doc: object) -> IPWitness:
     blocks = doc.get("blocks")
     if blocks is not None:
         if not isinstance(blocks, list) or not all(
-            isinstance(b, list) and all(isinstance(i, int) for i in b) for b in blocks
+            isinstance(b, list) and all(type(i) is int for i in b) for b in blocks
         ):
             raise ValueError("witness field 'blocks' must be a list of integer lists")
         blocks = tuple(tuple(b) for b in blocks)

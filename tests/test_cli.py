@@ -603,6 +603,14 @@ BOUNDARY_FILES = {
     "unchecked.json": b'{"witness": {"function": {"k": 2, "mode": "sieve-bounded", "limit": 31, '
                       b'"default": 1, "assignment": []}, "provenance": "direct-search", '
                       b'"generators": ["40"]}}',
+    # JSON true and false are Python ints; every integer field refuses them.
+    "boolcert.json": b'{"k": true, "r": 2, "B": 1, "assignment": [[2, false]]}',
+    "boolpair.json": b'{"k": 2, "r": 2, "B": 1, "assignment": [[2, false]]}',
+    "boolspec.json": b'{"k": 2, "assignment": [[2, true]]}',
+    "boolwitness.json": b'{"function": {"k": 2, "assignment": [[2, 1]]}, '
+                        b'"provenance": "direct-search", "b1": true, "generators": ["1"]}',
+    "boolgenerators.json": b'{"function": {"k": 2, "assignment": [[2, 1]]}, '
+                           b'"provenance": "direct-search", "generators": [true]}',
     # 2^40 distinct subset sums: refused from the generator count alone.
     "pow2.json": b'{"function": {"k": 2, "assignment": [[2, 1]]}, "provenance": "direct-search", '
                  b'"generators": [' + ", ".join(str(1 << i) for i in range(40)).encode() + b"]}",
@@ -644,6 +652,9 @@ BOUNDARY_CASES = [
      "certificate invalid: certificate misses classes: 0 given, but 2..100000000001 holds "
      "at least 3948131653 primes"),
     ("verify-cert spec.json", 1, "certificate field 'r' must be an integer"),
+    ("verify-cert boolcert.json", 1, "certificate field 'k' must be an integer"),
+    ("verify-cert boolpair.json", 1,
+     "certificate field 'assignment' must contain [prime, class] integer pairs"),
     ("runs --bound 10", 1,
      "describe the function with --spec FILE or inline flags starting at --k"),
     ("runs --bound 10 --spec spec.json --k 2", 1,
@@ -651,6 +662,8 @@ BOUNDARY_CASES = [
     ("runs --bound 10 --spec broken.json", 1, NOT_JSON),
     ("runs --bound 10 --spec nocert.json", 1,
      "function spec field 'k' must be a positive integer"),
+    ("runs --bound 10 --spec boolspec.json", 1,
+     "function spec field 'assignment' must contain [prime, class] integer pairs"),
     (f"runs --bound 0 {LIOU}", 1, "bound must be >= 1, got 0"),
     (f"runs --r 0 --bound 10 {LIOU}", 1, "run length must be >= 1, got 0"),
     (f"runs --bound 40 {LIOU}", 1, "41 exceeds evaluable range 1..31"),
@@ -722,6 +735,10 @@ BOUNDARY_CASES = [
     ("verify-witness badwitness.json", 1,
      "witness field 'provenance' must be 'proof-pipeline' or 'direct-search'"),
     ("verify-witness pow2.json", 1, "witness invalid: 40 generators exceed the cap 20"),
+    ("verify-witness boolwitness.json", 1,
+     "witness field 'b1' must be a decimal string or integer"),
+    ("verify-witness boolgenerators.json", 1,
+     "witness field 'generators' must be a decimal string or integer"),
     ("verify-witness unchecked.json", 1,
      "witness is not checkable: 40 exceeds evaluable range 1..31"),
     ("verify-witness big.json", 1,

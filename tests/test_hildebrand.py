@@ -167,8 +167,7 @@ def test_huge_deepening_bound_allocates_nothing_up_front():
 @pytest.mark.parametrize("symmetry", [False, True])
 def test_shared_tables_match_fresh_probes(k, r, symmetry):
     # B_max 80 makes the tables grow from 64; 150 and 300 make them grow again.
-    # At r = 12, k = 2 pushes windows that start at or below top, where
-    # _first_change reads one slice of val and sums the rest.
+    # At r = 12, k = 2 pushes windows that start at or below B + r - 1.
     runs = [(B_max, budget) for B_max in (1, 8, 64, 80, 150, 300) for budget in (None, 5, 40, 1000)]
     if (k, r) == (3, 2):
         # Every small budget: some run out inside a resumed probe, some
@@ -186,31 +185,40 @@ def test_shared_tables_match_fresh_probes(k, r, symmetry):
 
 
 @pytest.mark.parametrize(
-    "k, r, b_max, pushes, nodes, backtracks",
+    "k, r, b_max, snapshots, nodes, backtracks",
     [(4, 2, 1300, 136, 199554, 66141), (3, 3, 1500, 100, 385733, 191557)],
 )
-def test_first_change_runs_only_with_a_window_to_scan(
-    monkeypatch, k, r, b_max, pushes, nodes, backtracks
+def test_deepening_snapshots_come_from_the_forbidden_pass(
+    monkeypatch, k, r, b_max, snapshots, nodes, backtracks
 ):
-    # Each call must have a window of prime i in (B, bound), found at j; the
-    # element i owns there reads 0 at or below top, so the slice may hold it.
-    first_change, pushed = hildebrand._first_change, []
+    # A probe at B pushes (a, state) at an entry into prime index i: a window
+    # snapshot has i below nprimes and a window a > B of i, and the final sat
+    # push has i == nprimes and a == B + 1.  Each entry is checked once, right
+    # after the probe that pushed it, and kept so that no id is reused.
+    run_dfs, seen, window_starts = hildebrand._run_dfs, {}, []
 
-    def checked(tables, i, j, B, bound, ban, zero, modulus, val, cls):
-        windows, top = tables.windows[i], B + r - 1
-        assert j == bisect_right(windows, B) < len(windows) and windows[j] < bound
-        p = tables.primes[i]
-        for a in takewhile(lambda a: a < bound, windows[j:]):
-            n = a + -a % p
-            assert n > top or val[n] == 0
-        a = first_change(tables, i, j, B, bound, ban, zero, modulus, val, cls)
-        if a is not None:
-            pushed.append(a)
-        return a
+    def watched(modulus, tables, B, first, node_budget, deadline, stack=None):
+        out = run_dfs(modulus, tables, B, first, node_budget, deadline, stack)
+        nprimes = bisect_right(tables.primes, B + r - 1)
+        for entry in stack:
+            if id(entry) in seen:
+                continue
+            seen[id(entry)] = entry
+            a, (i, val, *_) = entry
+            if i == nprimes:
+                assert (out[0], a) == (SAT, B + 1)
+                continue
+            assert i < nprimes and a > B and a in tables.windows[i]
+            # The element i owns in window a reads 0: i holds no class yet.
+            assert val[a + -a % tables.primes[i]] == 0
+            window_starts.append(a)
+        return out
 
-    monkeypatch.setattr(hildebrand, "_first_change", checked)
+    monkeypatch.setattr(hildebrand, "_run_dfs", watched)
     res = hildebrand_constant(k, b_max, r=r)
-    assert (len(pushed), res.stats.nodes, res.stats.backtracks) == (pushes, nodes, backtracks)
+    assert (len(window_starts), res.stats.nodes, res.stats.backtracks) == (
+        snapshots, nodes, backtracks,
+    )
 
 
 @pytest.mark.parametrize(
@@ -308,6 +316,17 @@ def test_certificate_dict_round_trip():
         certificate_from_dict(
             {"k": 2, "r": 2, "B": 2, "assignment": [[2, 1], [2, 1], [3, 1]]}
         )
+
+
+def test_certificate_from_dict_refuses_booleans():
+    # bool is an int subclass, so JSON true would otherwise read as 1.
+    doc = {"k": 2, "r": 2, "B": 1, "assignment": [[2, 0]]}
+    assert certificate_from_dict(doc).k == 2
+    for name in ("k", "r", "B"):
+        with pytest.raises(ValueError, match=f"'{name}' must be an integer"):
+            certificate_from_dict(dict(doc, **{name: True}))
+    with pytest.raises(ValueError, match="'assignment' must contain"):
+        certificate_from_dict(dict(doc, assignment=[[2, False]]))
 
 
 def test_known_triple_avoider_verifies_at_scale():

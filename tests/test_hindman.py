@@ -161,7 +161,7 @@ def test_random_coloring_draws_in_block_order(n, classes, seed):
 
 
 def randint_table(n, classes, seed):
-    """seeded_table by block mask: the list random_coloring must return."""
+    """seeded_table by block mask: the colors random_coloring's table must list."""
     table = [0] * (1 << n)
     for block, c in seeded_table(n, classes, seed).items():
         table[_mask_of(block, n)] = c
@@ -178,13 +178,15 @@ BIT_LENGTH_EDGES = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 127, 128, 129, 255, 256, 257
 @pytest.mark.parametrize("n", [1, 2, 8, 15])
 @pytest.mark.parametrize("classes", BIT_LENGTH_EDGES)
 def test_random_coloring_draws_as_randint_does(classes, n, seed):
-    assert random_coloring(n, classes, seed).table == randint_table(n, classes, seed)
+    table = random_coloring(n, classes, seed).table
+    assert isinstance(table, bytearray if classes < 256 else list)
+    assert list(table) == randint_table(n, classes, seed)
 
 
 @pytest.mark.parametrize("classes", [2, 300])
 def test_random_coloring_draws_as_randint_does_past_one_chunk(classes):
     # 2^16 - 1 colors take more than one chunk of 2^16 words.
-    assert random_coloring(16, classes, 3).table == randint_table(16, classes, 3)
+    assert list(random_coloring(16, classes, 3).table) == randint_table(16, classes, 3)
 
 
 def test_random_coloring_refuses_more_classes_than_a_word_holds():
@@ -199,16 +201,17 @@ def test_random_coloring_refuses_more_classes_than_a_word_holds():
 
 
 def test_largest_random_coloring_draws_in_chunks():
-    # Beyond the 2^20-entry table itself, the draws take a chunk of words
-    # at a time and a byte per color.
+    # The table is a byte per mask.  Beyond it, the draws take a byte per
+    # color and a chunk of words at a time, and the last block size copies
+    # half of the colors twice (a slice, then its reverse): 3.06 MiB in all.
     tracemalloc.start()
     try:
         coloring = random_coloring(MAX_RANDOM_N, 2, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(coloring.table) == 1 << MAX_RANDOM_N
-    assert peak - (8 << MAX_RANDOM_N) < 2 << 20
+    assert isinstance(coloring.table, bytearray) and len(coloring.table) == 1 << MAX_RANDOM_N
+    assert peak < 3.25 * (1 << MAX_RANDOM_N)
 
 
 @given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 4), st.integers(0, 10**6))

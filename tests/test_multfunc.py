@@ -289,6 +289,23 @@ def test_sieve_bounded_dict_round_trip(f):
     assert function_from_dict(function_to_dict(f)) == f
 
 
+def test_assignment_from_pairs_refuses_booleans():
+    assert multfunc.assignment_from_pairs([[2, 1]], "pairs") == {2: 1}
+    for pair in ([2, True], [True, 0], [2, False]):
+        with pytest.raises(ValueError, match="pairs must contain"):
+            multfunc.assignment_from_pairs([pair], "pairs")
+
+
+def test_function_from_dict_refuses_booleans():
+    doc = {"k": 2, "mode": SIEVE_BOUNDED, "limit": 31, "default": 1, "assignment": []}
+    assert function_from_dict(doc).k == 2
+    for name, value in (("k", True), ("limit", True), ("default", False)):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            function_from_dict(dict(doc, **{name: value}))
+    with pytest.raises(ValueError, match="'assignment'"):
+        function_from_dict(dict(doc, assignment=[[2, True]]))
+
+
 def test_function_from_dict_names_offending_field():
     with pytest.raises(ValueError, match="'k'"):
         function_from_dict({"k": "two"})

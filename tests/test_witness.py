@@ -284,6 +284,18 @@ def test_witness_from_dict_diagnostics():
         witness_from_dict(bad)
 
 
+def test_witness_from_dict_refuses_booleans():
+    # JSON true and false are Python ints; no integer field takes them.
+    f = MultiplicativeFunction.finite_support(2, {2: 1})
+    doc = witness_to_dict(ip_witness_from_proof(f, 2, 3))
+    assert witness_from_dict(doc).blocks is not None
+    with pytest.raises(ValueError, match="'k' is True"):
+        witness_from_dict(dict(doc, k=True, function={"k": 1}))
+    for name, value in (("b1", True), ("generators", [True]), ("blocks", [[True]])):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            witness_from_dict(dict(doc, **{name: value}))
+
+
 @settings(max_examples=80)
 @given(st.integers(1, 7), st.integers(1, 6), st.data())
 def test_block_sum_coloring_matches_the_materialized_sequence(n, k, data):
