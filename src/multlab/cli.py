@@ -77,6 +77,9 @@ EXIT_NOT_FOUND = 2
 
 NOT_FOUND = "not-found"
 
+COMMANDS = ("constant", "avoid", "verify-cert", "runs", "blockseq", "hindman", "witness",
+            "verify-witness")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit code 2 for usage errors; this CLI uses 1."""
@@ -437,7 +440,10 @@ def cmd_verify_witness(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser for every subcommand, or for command alone when given;
+    usage lines and help read the same either way."""
+    commands = COMMANDS if command is None else (command,)
     # argparse makes a formatter for every argument, and each one asks the
     # terminal for its width; ask once, and give every formatter the width
     # HelpFormatter would compute.
@@ -450,81 +456,94 @@ def build_parser() -> _Parser:
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     add_parser = partial(subparsers.add_parser, formatter_class=formatter)
 
-    p = add_parser("constant", help="least bound forcing a kernel run")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=2, help="run length (default 2)")
-    p.add_argument("--b-max", dest="b_max", type=int, default=100,
-                   help="give up beyond this bound (default 100)")
-    _add_search_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_constant)
+    if "constant" in commands:
+        p = add_parser("constant", help="least bound forcing a kernel run")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--r", type=int, default=2, help="run length (default 2)")
+        p.add_argument("--b-max", dest="b_max", type=int, default=100,
+                       help="give up beyond this bound (default 100)")
+        _add_search_flags(p)
+        _add_output_flags(p)
+        p.set_defaults(handler=cmd_constant)
 
-    p = add_parser("avoid", help="search run-avoiding prime classes at a fixed bound")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--B", type=int, required=True, help="no run may start at 1..B")
-    _add_search_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_avoid)
+    if "avoid" in commands:
+        p = add_parser("avoid", help="search run-avoiding prime classes at a fixed bound")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--r", type=int, default=2)
+        p.add_argument("--B", type=int, required=True, help="no run may start at 1..B")
+        _add_search_flags(p)
+        _add_output_flags(p)
+        p.set_defaults(handler=cmd_avoid)
 
-    p = add_parser("verify-cert", help="recheck an avoidance certificate")
-    p.add_argument("path", help="certificate JSON, or a result document containing one")
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_verify_cert)
+    if "verify-cert" in commands:
+        p = add_parser("verify-cert", help="recheck an avoidance certificate")
+        p.add_argument("path", help="certificate JSON, or a result document containing one")
+        _add_output_flags(p)
+        p.set_defaults(handler=cmd_verify_cert)
 
-    p = add_parser("runs", help="list kernel-run starting points of a function")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--bound", type=int, required=True)
-    _add_function_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_runs)
+    if "runs" in commands:
+        p = add_parser("runs", help="list kernel-run starting points of a function")
+        p.add_argument("--r", type=int, default=2)
+        p.add_argument("--bound", type=int, required=True)
+        _add_function_flags(p)
+        _add_output_flags(p)
+        p.set_defaults(handler=cmd_runs)
 
-    p = add_parser("blockseq", help="generate and verify a block-divisible sequence")
-    p.add_argument("--n", type=int, required=True, help="last term index")
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_blockseq)
+    if "blockseq" in commands:
+        p = add_parser("blockseq", help="generate and verify a block-divisible sequence")
+        p.add_argument("--n", type=int, required=True, help="last term index")
+        _add_output_flags(p)
+        p.set_defaults(handler=cmd_blockseq)
 
-    p = add_parser("hindman", help="monochromatic finite-union family search")
-    p.add_argument("--n", type=int, required=True, help="universe is 1..n")
-    p.add_argument("--m", type=int, required=True, help="number of blocks")
-    p.add_argument("--coloring", required=True,
-                   choices=["size-parity", "max-parity", "random", "function"])
-    p.add_argument("--classes", type=int, default=None,
-                   help="colors for --coloring random (default 2)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for --coloring random (default 0)")
-    p.add_argument("--node-budget", type=int, default=None)
-    _add_function_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_hindman)
+    if "hindman" in commands:
+        p = add_parser("hindman", help="monochromatic finite-union family search")
+        p.add_argument("--n", type=int, required=True, help="universe is 1..n")
+        p.add_argument("--m", type=int, required=True, help="number of blocks")
+        p.add_argument("--coloring", required=True,
+                       choices=["size-parity", "max-parity", "random", "function"])
+        p.add_argument("--classes", type=int, default=None,
+                       help="colors for --coloring random (default 2)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed for --coloring random (default 0)")
+        p.add_argument("--node-budget", type=int, default=None)
+        _add_function_flags(p)
+        _add_output_flags(p)
+        p.set_defaults(handler=cmd_hindman)
 
-    p = add_parser("witness", help="find a finite-sums witness")
-    p.add_argument("--method", required=True, choices=["proof", "direct"])
-    p.add_argument("--m", type=int, required=True,
-                   help="blocks (proof method) or generators (direct method)")
-    p.add_argument("--n-prefix", dest="n_prefix", type=int, default=None,
-                   help="sequence prefix length for --method proof")
-    p.add_argument("--bound", type=int, default=None,
-                   help="scan limit for --method direct")
-    p.add_argument("--deterministic", action="store_true",
-                   help="omit machine-dependent fields from the output")
-    p.add_argument("--node-budget", type=int, default=None,
-                   help="give up (exit 2) after this many candidate blocks (proof) "
-                        "or generators (direct)")
-    _add_function_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_witness)
+    if "witness" in commands:
+        p = add_parser("witness", help="find a finite-sums witness")
+        p.add_argument("--method", required=True, choices=["proof", "direct"])
+        p.add_argument("--m", type=int, required=True,
+                       help="blocks (proof method) or generators (direct method)")
+        p.add_argument("--n-prefix", dest="n_prefix", type=int, default=None,
+                       help="sequence prefix length for --method proof")
+        p.add_argument("--bound", type=int, default=None,
+                       help="scan limit for --method direct")
+        p.add_argument("--deterministic", action="store_true",
+                       help="omit machine-dependent fields from the output")
+        p.add_argument("--node-budget", type=int, default=None,
+                       help="give up (exit 2) after this many candidate blocks (proof) "
+                            "or generators (direct)")
+        _add_function_flags(p)
+        _add_output_flags(p)
+        p.set_defaults(handler=cmd_witness)
 
-    p = add_parser("verify-witness", help="recheck a finite-sums witness")
-    p.add_argument("path", help="witness JSON, or a result document containing one")
-    _add_output_flags(p)
-    p.set_defaults(handler=cmd_verify_witness)
+    if "verify-witness" in commands:
+        p = add_parser("verify-witness", help="recheck a finite-sums witness")
+        p.add_argument("path", help="witness JSON, or a result document containing one")
+        _add_output_flags(p)
+        p.set_defaults(handler=cmd_verify_witness)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the named subcommand's parser is read, so only it is built; any
+    # other first token gets all of them, for help and the unknown-command
+    # error.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if args.out:

@@ -362,7 +362,7 @@ def random_coloring(n: int, classes: int, seed: int) -> SubsetColoring:
     table = bytearray(1 << n) if classes < 256 else [0] * (1 << n)
     for mx in range(1, n + 1):
         low, size = 1 << (n - mx), 1 << (mx - 1)
-        table[low::2 * low] = colors[size - 1:2 * size - 1][::-1]
+        table[low::2 * low] = colors[2 * size - 2:size - 2 if size > 1 else None:-1]
     return replace(coloring, table=table)
 
 

@@ -1,11 +1,13 @@
 import math
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multlab import blockseq
 from multlab.blockseq import (
     MAX_DECIMAL_DIGITS,
     BlockSequence,
@@ -34,9 +36,10 @@ def test_fifth_term_digit_count():
 
 
 def test_recurrence_against_direct_product():
-    # independent recomputation: s_{m+1} as a plain product over subsets
-    seq = generate_block_sequence(4)
-    for m in range(4):
+    # independent recomputation: s_{m+1} as a plain product over subsets,
+    # up to s_7, whose 127 factors generate multiplies by Toom-3
+    seq = generate_block_sequence(7)
+    for m in range(7):
         prefix = seq.terms[: m + 1]
         expected = math.prod(
             sum(combo)
@@ -115,6 +118,40 @@ def test_verify_accepts_generated_sequences():
         assert report.ok
         assert report.checked == separated_pairs(n)
         assert report.counterexample is None
+
+
+def test_s7_and_its_check_peak_below_two_mib():
+    # s_7 is 2.36 million bits (0.28 MiB).  generate holds it and its 127
+    # factors, verify the Q_lo products, and Toom-3 its parts and five
+    # products: 1.57 MiB at the peak.
+    tracemalloc.start()
+    try:
+        report = verify_block_divisibility(generate_block_sequence(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.ok, report.checked) == (True, 769)
+    assert peak < 2 << 20
+
+
+def toom_operands():
+    bits = st.integers(0, 3000)
+    return st.one_of(
+        st.integers(-(1 << 3000), 1 << 3000),
+        bits.map(lambda b: 1 << b),
+        bits.map(lambda b: (1 << b) - 1),
+    )
+
+
+@given(toom_operands(), toom_operands())
+def test_toom3_product_is_the_builtin_product(x, y):
+    # At a 64-bit cutoff a 3000-bit product recurses four levels deep, its
+    # values at -1 and -2 go negative, and unlike lengths fall back to x * y.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blockseq, "_TOOM_BITS", 64)
+        assert blockseq._mul(x, y) == x * y
+        factors = [x, y, abs(x) + 1, x ^ y]
+        assert blockseq._balanced_product(factors) == math.prod(factors)
 
 
 def test_verify_finds_first_counterexample_in_block_order():

@@ -844,6 +844,32 @@ def test_help_wraps_as_a_default_formatter_would(columns, monkeypatch, capsys):
         assert capsys.readouterr().out == p.format_help()
 
 
+def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
+    # Any other first token builds all eight, so the unknown-command error
+    # still lists every choice.
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["frobnicate"])
+    unknown = capsys.readouterr().err
+    built = []
+    build = cli.build_parser
+
+    def recorded(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    assert cli.main(["blockseq", "--n", "2", "--format", "plain"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["frobnicate"])
+    assert exc.value.code == 1
+    assert built == ["blockseq", None]
+    assert capsys.readouterr().err == unknown
+    for command in COMMANDS:
+        (subparsers,) = (a for a in build(command)._actions
+                         if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == [command]
+
+
 def test_parser_asks_the_terminal_width_once(monkeypatch):
     calls = []
     size = shutil.get_terminal_size
