@@ -13,12 +13,15 @@ bitmask and a union is a bitwise or.  A coloring tabulated in a
 bytearray (random_coloring, at most 255 colors) is searched on candidate
 bitsets: one 2^n-bit int per color marks the masks of that color, and one
 shift and AND per chosen block leaves the candidates that keep every
-union monochromatic.  Any other coloring is scanned one candidate at a time,
+union monochromatic.  There a subtree holding no family is counted in
+whatever order its bits come, and only a subtree holding one is visited
+in canonical order.  Any other coloring is scanned one candidate at a time,
 its colors read by mask: computed from the mask (the parity colorings,
 block_sum_coloring's), or asked once per subset and memoized.  Those
 universes go up to n = 60, far past any table.  The node count, and so
 the meaning of a node budget, is that of the plain search over tuples on
-both paths: a candidate the bitsets rule out still counts as examined.
+both paths: a candidate the bitsets rule out still counts as examined,
+and an unordered count adds what the ordered scan would.
 """
 
 from __future__ import annotations
@@ -170,8 +173,9 @@ def monochromatic_fu_search(
     is scanned one candidate at a time (_scan_search), colors read by mask
     as the module docstring says, so a computed coloring costs memory for the
     subsets colored, never 2^n up front.  Both find the same family in the
-    same number of nodes.  The family found is rechecked on the subset sums
-    of its masks.
+    same number of nodes; the bitset search counts a subtree holding no
+    family without ordering it, and that count is the scan's.  The family
+    found is rechecked on the subset sums of its masks.
 
     Returns None when the finite universe is exhausted; raises
     SearchBudgetExceeded if node_budget candidate blocks were examined
@@ -267,12 +271,42 @@ def _bitset_search(table: bytearray, n: int, m: int, limit: float) -> list[int] 
     2^b is number 2^(w - b) - 1 - (x >> (b + 1)) in that order, and the
     node count adds the gaps between survivors, so every candidate skipped
     counts as examined, as in the scan.
+
+    That order matters only for a subtree holding a family.  So each level
+    first settles its subtree unordered (settle): 2^w - 1 for its own
+    candidates, plus, for each survivor x of lowest bit 2^b, 2^b - 1 if
+    nothing can follow x, else the count below x.  It gives up at a family,
+    or once the count passes the room left in the budget; then the ordered
+    visit runs.  Counts only grow, so a settled count within the room
+    means no budget check inside the subtree could have raised.
     """
     color_bits = {}
     nodes = 0
 
+    def settle(depth: int, cands: int, w: int, room: float) -> int | None:
+        if depth == m - 1:
+            return None
+        count = (1 << w) - 1
+        for x in _bits_descending(cands):
+            low = x & -x
+            inner = cands & (cands >> x) & ((1 << low) - 1)
+            if inner:
+                below = settle(depth + 1, inner, low.bit_length() - 1, room - count)
+                if below is None:
+                    return None
+                count += below
+            else:
+                count += low - 1
+            if count > room:
+                return None
+        return count
+
     def extend(chosen: list[int], cands: int, w: int):
         nonlocal nodes
+        count = settle(len(chosen), cands, w, limit - nodes)
+        if count is not None:
+            nodes += count
+            return None
         last = len(chosen) == m - 1
         seen = 0
         for x in sorted(_bits_descending(cands), key=lambda x: x & -x, reverse=True):
@@ -299,15 +333,20 @@ def _bitset_search(table: bytearray, n: int, m: int, limit: float) -> list[int] 
     # No block follows one that contains n: the 2^(n - 1) of them are one
     # node each, taken last.
     for mx in range(1, n):
+        # Every block here has lowest bit low, so its candidates lie below
+        # low in the bits of its color: cut once per color.
+        low = 1 << (n - mx)
+        below = {}
         for block in _block_masks(1, mx, n):
             nodes += 1
             if nodes > limit:
                 raise _over_budget(limit)
             t = table[block]
-            if t not in color_bits:
-                color_bits[t] = bits_where(table, t)
-            low = block & -block
-            inner = color_bits[t] & (color_bits[t] >> block) & ((1 << low) - 1)
+            if t not in below:
+                if t not in color_bits:
+                    color_bits[t] = bits_where(table, t)
+                below[t] = color_bits[t] & ((1 << low) - 1)
+            inner = below[t] & (color_bits[t] >> block)
             if inner:
                 found = extend([block], inner, n - mx)
                 if found is not None:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multlab import hindman
 from multlab.hindman import (
     MAX_RANDOM_CLASSES,
     MAX_RANDOM_N,
@@ -248,11 +250,76 @@ def test_table_of_more_colors_than_a_byte_takes_the_scan(n, m, seed):
 
 def test_refutation_node_count_at_scale():
     # The families benchmark's m = 5 refutation: exactly 428 357 candidate
-    # blocks, as the scan over every candidate counts them.
-    coloring = random_coloring(15, 2, 0)
-    assert monochromatic_fu_search(coloring, 5, node_budget=428_357) is None
-    with pytest.raises(SearchBudgetExceeded, match="exceeded 428356 nodes"):
-        monochromatic_fu_search(coloring, 5, node_budget=428_356)
+    # blocks, as the scan over every candidate counts them.  The other
+    # seeds and m = 4 (a family found) take the counts the scan takes.
+    for seed, m, nodes in [(0, 5, 428_357), (1, 5, 417_701), (1, 4, 65), (0, 4, 232)]:
+        coloring = random_coloring(15, 2, seed)
+        found = monochromatic_fu_search(coloring, m, node_budget=nodes)
+        assert found == monochromatic_fu_search(coloring, m)
+        assert (found is None) == (m == 5)
+        with pytest.raises(SearchBudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
+            monochromatic_fu_search(coloring, m, node_budget=nodes - 1)
+
+
+def first_family_by_descending_masks(coloring, m, first):
+    """The first family after block first, later blocks by descending mask.
+
+    That is the order in which the bitset search counts a subtree before
+    visiting it in block order, so this is the family the count meets.
+    """
+    n = coloring.n
+
+    def extend(masks):
+        if len(masks) == m:
+            return masks
+        low = masks[-1] & -masks[-1]
+        for x in range(low - 1, 0, -1):
+            family = BlockFamily(tuple(_block_of(y, n) for y in masks + [x]))
+            if len({coloring.color_of(u) for u in fu_closure(family)}) == 1:
+                found = extend(masks + [x])
+                if found:
+                    return found
+        return None
+
+    return tuple(_block_of(x, n) for x in extend([_mask_of(first, n)]))
+
+
+# Colorings where counting a subtree without ordering gives up and the
+# ordered visit finds the family: at the exact budget the count passes the
+# room left (fewer count calls than unbudgeted), or the count meets a
+# family that is not the first in block order.
+@pytest.mark.parametrize("n, classes, seed, m, gives_up, count_calls", [
+    (9, 2, 116, 4, "room", (16, 15)),
+    (8, 2, 30, 4, "room", (28, 25)),
+    (9, 2, 13, 3, "family", (3, 3)),
+    (9, 3, 4, 3, "family", (2, 2)),
+])
+def test_ordered_visit_after_the_count_gives_up(monkeypatch, n, classes, seed, m, gives_up,
+                                                count_calls):
+    coloring = random_coloring(n, classes, seed)
+    expected, nodes = naive_fu_search(coloring.color_of, n, m)
+    bits_descending = hindman._bits_descending
+    calls = Counter()
+
+    def counted(bits):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return bits_descending(bits)
+
+    monkeypatch.setattr(hindman, "_bits_descending", counted)
+    seen = []
+    for budget in (None, nodes):
+        calls.clear()
+        assert monochromatic_fu_search(coloring, m, node_budget=budget).blocks == expected
+        # One ordered visit per level of the family found.
+        assert calls["extend"] == m - 1
+        seen.append(calls["settle"])
+    assert tuple(seen) == count_calls
+    if gives_up == "room":
+        assert count_calls[1] < count_calls[0]
+    else:
+        assert first_family_by_descending_masks(coloring, m, expected[0]) != expected
+    with pytest.raises(SearchBudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
+        monochromatic_fu_search(coloring, m, node_budget=nodes - 1)
 
 
 @pytest.mark.parametrize("seed,m", [(0, 4), (0, 5), (41, 4), (3, 3)])
