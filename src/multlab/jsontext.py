@@ -11,6 +11,7 @@ cli.py raised the peak memory of processes importing the CLI by about
 from __future__ import annotations
 
 import json
+from itertools import chain, starmap
 
 # Items per piece of a flat list; bounds the strings alive at once.
 _FLAT_SLICE = 4096
@@ -66,13 +67,20 @@ def json_chunks(value, indent: str = ""):
 
 def _int_rows(rows, indent: str) -> str | None:
     """The items of a list of exact-int lists, as json_chunks writes them
-    at indent, or None if some item is not such a list."""
+    at indent, or None if some item is not such a list.
+
+    Rows of one nonzero length, such as [prime, class] pairs, are each
+    written by one format string.
+    """
+    if not _INTS.issuperset(map(type, chain.from_iterable(rows))):
+        return None
     deeper = indent + "  "
     sep = ",\n" + deeper
     head, tail = "[\n" + deeper, "\n" + indent + "]"
-    out = []
-    for row in rows:
-        if not _INTS.issuperset(map(type, row)):
-            return None
-        out.append(head + sep.join(map(int.__repr__, row)) + tail if row else "[]")
-    return (",\n" + indent).join(out)
+    lengths = set(map(len, rows))
+    if len(lengths) == 1 and 0 not in lengths:
+        write_row = (head + sep.join(["{}"] * lengths.pop()) + tail).format
+        return (",\n" + indent).join(starmap(write_row, rows))
+    return (",\n" + indent).join(
+        head + sep.join(map(int.__repr__, row)) + tail if row else "[]" for row in rows
+    )

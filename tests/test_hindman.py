@@ -6,10 +6,9 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from multlab import hindman
 from multlab.hindman import (
     MAX_RANDOM_CLASSES,
     MAX_RANDOM_N,
@@ -216,7 +215,12 @@ def test_largest_random_coloring_draws_in_chunks():
     assert peak < 2.75 * (1 << MAX_RANDOM_N)
 
 
+# The examples end their first family on mask 1 after a block of lowest
+# bit 2 (the last bulk-counted class), and the second also needs the exact
+# window of candidates after its first block.
 @given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 4), st.integers(0, 10**6))
+@example(6, 2, 3, 7)
+@example(6, 2, 3, 27)
 def test_table_path_matches_tuple_engine_and_its_node_count(n, classes, m, seed):
     coloring = random_coloring(n, classes, seed)
     table = coloring.table
@@ -230,8 +234,10 @@ def test_table_path_matches_tuple_engine_and_its_node_count(n, classes, m, seed)
         raise AssertionError("a table coloring is read by mask during the search")
 
     table_only = dataclasses.replace(coloring, color=no_calls)
-    family = monochromatic_fu_search(table_only, m, node_budget=nodes)
-    assert (family.blocks if family else None) == expected
+    # Unbudgeted, no count gives up for want of room.
+    for budget in (None, nodes):
+        family = monochromatic_fu_search(table_only, m, node_budget=budget)
+        assert (family.blocks if family else None) == expected
     with pytest.raises(SearchBudgetExceeded if nodes > 1 else ValueError):
         monochromatic_fu_search(table_only, m, node_budget=nodes - 1)
 
@@ -251,12 +257,17 @@ def test_table_of_more_colors_than_a_byte_takes_the_scan(n, m, seed):
 def test_refutation_node_count_at_scale():
     # The families benchmark's m = 5 refutation: exactly 428 357 candidate
     # blocks, as the scan over every candidate counts them.  The other
-    # seeds and m = 4 (a family found) take the counts the scan takes.
-    for seed, m, nodes in [(0, 5, 428_357), (1, 5, 417_701), (1, 4, 65), (0, 4, 232)]:
-        coloring = random_coloring(15, 2, seed)
+    # seeds and m = 4 (a family found) take the counts the scan takes, and
+    # so do the refutations at n = 16 to 18, whose subtrees are counted
+    # mostly in bulk.
+    for n, seed, m, nodes in [
+        (15, 0, 5, 428_357), (15, 1, 5, 417_701), (15, 1, 4, 65), (15, 0, 4, 232),
+        (16, 0, 6, 953_944), (17, 3, 6, 2_061_207), (18, 0, 5, 4_654_260),
+    ]:
+        coloring = random_coloring(n, 2, seed)
         found = monochromatic_fu_search(coloring, m, node_budget=nodes)
         assert found == monochromatic_fu_search(coloring, m)
-        assert (found is None) == (m == 5)
+        assert (found is None) == (m >= 5)
         with pytest.raises(SearchBudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
             monochromatic_fu_search(coloring, m, node_budget=nodes - 1)
 
@@ -286,32 +297,36 @@ def first_family_by_descending_masks(coloring, m, first):
 
 # Colorings where counting a subtree without ordering gives up and the
 # ordered visit finds the family: at the exact budget the count passes the
-# room left (fewer count calls than unbudgeted), or the count meets a
+# room left (fewer settle calls than unbudgeted), or the count meets a
 # family that is not the first in block order.
 @pytest.mark.parametrize("n, classes, seed, m, gives_up, count_calls", [
-    (9, 2, 116, 4, "room", (16, 15)),
-    (8, 2, 30, 4, "room", (28, 25)),
-    (9, 2, 13, 3, "family", (3, 3)),
-    (9, 3, 4, 3, "family", (2, 2)),
+    (9, 2, 116, 4, "room", (19, 15)),
+    (8, 2, 30, 4, "room", (27, 25)),
+    (9, 2, 13, 3, "family", (4, 4)),
+    (9, 3, 4, 3, "family", (3, 3)),
 ])
-def test_ordered_visit_after_the_count_gives_up(monkeypatch, n, classes, seed, m, gives_up,
-                                                count_calls):
+def test_ordered_visit_after_the_count_gives_up(n, classes, seed, m, gives_up, count_calls):
     coloring = random_coloring(n, classes, seed)
     expected, nodes = naive_fu_search(coloring.color_of, n, m)
-    bits_descending = hindman._bits_descending
     calls = Counter()
 
-    def counted(bits):
-        calls[sys._getframe(1).f_code.co_name] += 1
-        return bits_descending(bits)
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
 
-    monkeypatch.setattr(hindman, "_bits_descending", counted)
     seen = []
     for budget in (None, nodes):
         calls.clear()
-        assert monochromatic_fu_search(coloring, m, node_budget=budget).blocks == expected
-        # One ordered visit per level of the family found.
-        assert calls["extend"] == m - 1
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            family = monochromatic_fu_search(coloring, m, node_budget=budget)
+        finally:
+            sys.setprofile(previous)
+        assert family.blocks == expected
+        # One ordered visit per level of the family found: only the ordered
+        # visit reads survivors in descending order.
+        assert calls["_bits_descending"] == m - 1
         seen.append(calls["settle"])
     assert tuple(seen) == count_calls
     if gives_up == "room":

@@ -46,10 +46,16 @@ def test_int_lists_at_the_short_and_slice_lengths():
 def test_lists_of_int_rows():
     # [prime, class] pairs and their edge cases: empty rows, bools (which
     # print as true/false and so leave the one-pass path), long rows,
-    # tuples, big and negative ints, and rows next to items that are not
-    # int lists.
+    # tuples, big and negative ints, rows of mixed length (which leave the
+    # one-format-per-row path), and rows next to items that are not int
+    # lists.
     cases = [
         [[2, 1], [3, 0], [5, 2]],
+        [[1], [2], [3]],
+        [[1, 2, 3], (4, 5, 6)],
+        [[2, 1], [3, 0], []],
+        [[2, 1], [3, 0, 5], [7]],
+        [[2, 1], [3, 0, 5], [7, False]],
         [[], [2, 1], []],
         [[]],
         [[2, True], [3, 0]],
