@@ -54,6 +54,7 @@ from .multfunc import (
     find_runs,
     function_from_dict,
     function_to_dict,
+    run_mask,
 )
 from .witness import (
     DIRECT_SEARCH,
@@ -82,7 +83,7 @@ __all__ = [
     "max_parity_coloring", "monochromatic_fu_search", "random_coloring",
     "size_parity_coloring",
     "FINITE_SUPPORT", "SIEVE_BOUNDED", "MultiplicativeFunction", "class_table",
-    "find_runs", "function_from_dict", "function_to_dict",
+    "find_runs", "function_from_dict", "function_to_dict", "run_mask",
     "DIRECT_SEARCH", "PROOF_PIPELINE", "IPWitness", "fs_closure",
     "ip_witness_direct", "ip_witness_from_proof",
     "verify_witness", "witness_from_dict", "witness_to_dict",

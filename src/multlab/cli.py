@@ -52,15 +52,15 @@ from .hindman import (
     random_coloring,
     size_parity_coloring,
 )
-from .jsontext import json_chunks
+from .jsontext import MaskIndices, json_chunks, mask_index_lines
 from .multfunc import (
     FINITE_SUPPORT,
     SIEVE_BOUNDED,
     MultiplicativeFunction,
     assignment_from_pairs,
-    find_runs,
     function_from_dict,
     function_to_dict,
+    run_mask,
 )
 from .witness import (
     block_sum_coloring,
@@ -299,14 +299,14 @@ def cmd_avoid(args) -> int:
 
 def cmd_verify_cert(args) -> int:
     cert = certificate_from_dict(_load_embedded(args.path, "certificate"))
-    runs = find_runs(cert.function(), cert.r, cert.B)
+    first = run_mask(cert.function(), cert.r, cert.B).find(1)
     doc = {
         "command": "verify-cert",
         "k": cert.k,
         "r": cert.r,
         "B": cert.B,
-        "valid": not runs,
-        "first_violation": runs[0] if runs else None,
+        "valid": first < 0,
+        "first_violation": first if first >= 0 else None,
     }
     _emit(args, doc)
     return EXIT_OK
@@ -314,19 +314,17 @@ def cmd_verify_cert(args) -> int:
 
 def cmd_runs(args) -> int:
     f = _function_from_args(args)
-    runs = find_runs(f, args.r, args.bound)
+    mask = run_mask(f, args.r, args.bound)
     doc = {
         "command": "runs",
         "r": args.r,
         "bound": args.bound,
         "function": function_to_dict(f),
-        "runs": runs,
-        "count": len(runs),
+        "runs": MaskIndices(mask),
+        "count": mask.count(1),
     }
-    # A slice at a time: one string per start nearly doubled a big scan's peak.
-    plain = "".join("\n".join(map(str, runs[i:i + 4096])) + "\n"
-                    for i in range(0, len(runs), 4096)) if args.format == "plain" else None
-    _emit(args, doc, plain=plain)
+    # Both formats write the starts from the mask, with no int per start.
+    _emit(args, doc, plain=mask_index_lines(mask) if args.format == "plain" else None)
     return EXIT_OK
 
 

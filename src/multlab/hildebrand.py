@@ -42,7 +42,7 @@ from typing import Mapping
 
 from .arith import prime_flags
 from .hindman import node_limit
-from .multfunc import MultiplicativeFunction, assignment_from_pairs, find_runs
+from .multfunc import MultiplicativeFunction, assignment_from_pairs, run_mask
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -175,8 +175,9 @@ class ConstantResult:
 
 
 def verify_certificate(cert: AvoidanceCertificate) -> bool:
-    """Recheck the certificate by exhaustive run scan; True when it holds."""
-    return not find_runs(cert.function(), cert.r, cert.B)
+    """Recheck the certificate by exhaustive run scan; True when it holds,
+    that is when the run mask up to B has no 1 byte."""
+    return 1 not in run_mask(cert.function(), cert.r, cert.B)
 
 
 def certificate_to_dict(cert: AvoidanceCertificate) -> dict:
@@ -205,7 +206,7 @@ def _window_extremes(xs: list, r: int, least: bool = False) -> list:
     """max(xs[j : j + r]), or with least min(xs[j : j + r]), for every j.
 
     Each pass extends the span of every entry by up to its own width, as
-    find_runs does, so ceil(log2 r) passes of one comparison per entry do
+    run_mask does, so ceil(log2 r) passes of one comparison per entry do
     the work of r - 1 builtin max or min arguments per entry.  The entries
     returned are the given xs's own objects.
     """

@@ -1,7 +1,9 @@
 """Indented JSON text, byte for byte that of json.dumps(value, indent=2).
 
 With an indent, CPython encodes in pure Python, item by item, which for a
-long list of ints costs several times what json's C encoder takes.  The
+long list of ints costs several times what json's C encoder takes.  A
+list of the indices of a byte mask's 1 bytes, such as run starts, is
+written from the mask itself, with no int object per index.  The
 writer is a module of its own, not part of cli.py, because without cached
 bytecode each module is compiled whole on import, and compiling it inside
 cli.py raised the peak memory of processes importing the CLI by about
@@ -11,17 +13,33 @@ cli.py raised the peak memory of processes importing the CLI by about
 from __future__ import annotations
 
 import json
-from itertools import chain, starmap
+from itertools import chain, compress, starmap
 
 # Items per piece of a flat list; bounds the strings alive at once.
 _FLAT_SLICE = 4096
+# Indices per block of a mask, a power of ten: one digit table covers a block.
+_MASK_BLOCK = 1000
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _INTS = frozenset({int})
 _ROWS = frozenset({list, tuple})
 
 
+class MaskIndices:
+    """The indices of the 1 bytes of a 0/1 byte mask, in increasing order.
+
+    json_chunks writes it as json.dumps would write the list of those
+    indices, without making that list.
+    """
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: bytes):
+        self.mask = mask
+
+
 def json_chunks(value, indent: str = ""):
-    """Pieces whose concatenation is json.dumps(value, indent=2).
+    """Pieces whose concatenation is json.dumps(value, indent=2), where a
+    MaskIndices stands for the list of its indices.
 
     A non-empty list of scalars is encoded slice by slice by json's C
     encoder, with the indented item separator as its separator.  A list of
@@ -61,8 +79,49 @@ def json_chunks(value, indent: str = ""):
                     yield sep
                 yield json.dumps(value[i : i + _FLAT_SLICE], separators=(sep, ": "))[1:-1]
         yield "\n" + indent + "]"
+    elif isinstance(value, MaskIndices):
+        if 1 not in value.mask:
+            yield "[]"
+            return
+        yield "[\n" + inner
+        yield from mask_index_chunks(value.mask, ",\n" + inner)
+        yield "\n" + indent + "]"
     else:
         yield json.dumps(value)
+
+
+def mask_index_chunks(mask: bytes, sep: str):
+    """Pieces whose concatenation is sep.join(map(str, indices)) over the
+    indices of the 1 bytes of the 0/1 byte mask.
+
+    An index in block b >= 1 of _MASK_BLOCK = 10^w indices is str(b)
+    followed by w zero-padded digits.  One compress over a table of those
+    digit strings picks a block's, and one join with sep + str(b) writes
+    them, so no int object is made per index.
+    """
+    width = len(str(_MASK_BLOCK)) - 1
+    digits = [str(i) for i in range(_MASK_BLOCK)]
+    padded = [s.zfill(width) for s in digits]
+    first = True
+    for lo in range(0, len(mask), _MASK_BLOCK):
+        block = mask[lo : lo + _MASK_BLOCK]
+        if 1 not in block:
+            continue
+        if lo:
+            head = str(lo // _MASK_BLOCK)
+            text = head + (sep + head).join(compress(padded, block))
+        else:
+            text = sep.join(compress(digits, block))
+        if first:
+            first = False
+        else:
+            yield sep
+        yield text
+
+
+def mask_index_lines(mask: bytes) -> str:
+    """The indices of the 1 bytes of the 0/1 byte mask, one per line."""
+    return "".join((*mask_index_chunks(mask, "\n"), "\n")) if 1 in mask else ""
 
 
 def _int_rows(rows, indent: str) -> str | None:

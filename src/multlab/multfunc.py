@@ -274,8 +274,9 @@ def _class_shift(k: int, c: int) -> Callable:
 _KERNEL_FLAG = bytes([1]) + bytes(255)
 
 
-def find_runs(f: MultiplicativeFunction, r: int, bound: int) -> list[int]:
-    """All a <= bound with f(a), f(a+1), ..., f(a+r-1) in the kernel.
+def run_mask(f: MultiplicativeFunction, r: int, bound: int) -> bytes:
+    """Byte a of bound + 1 is 1 when f(a), f(a+1), ..., f(a+r-1) are all
+    in the kernel, for 1 <= a <= bound, and 0 otherwise; byte 0 is 0.
 
     The kernel flags of 0..bound + r - 1 become one little-endian int, a
     byte per integer; ANDing it with itself shifted down by whole bytes
@@ -288,11 +289,21 @@ def find_runs(f: MultiplicativeFunction, r: int, bound: int) -> list[int]:
         raise ValueError(f"bound must be >= 1, got {bound}")
     upto = bound + r - 1
     vals = class_table(f, upto)
-    flags = vals.translate(_KERNEL_FLAG) if isinstance(vals, bytearray) else bytes(map(not_, vals))
+    flags = (vals.translate(_KERNEL_FLAG) if isinstance(vals, bytearray)
+             else bytearray(map(not_, vals)))
+    del vals  # the table and flags go before the int passes, which hold three ints
+    flags[0] = 0  # entry 0 is padding, not a value
     hits = int.from_bytes(flags, "little")
+    del flags
     covered = 1  # byte a of hits: the kernel holds a..a + covered - 1
     while covered < r:
         step = min(covered, r - covered)
         hits &= hits >> (8 * step)
         covered += step
-    return list(compress(range(1, bound + 1), hits.to_bytes(upto + 1, "little")[1 : bound + 1]))
+    return hits.to_bytes(upto + 1, "little")[: bound + 1]
+
+
+def find_runs(f: MultiplicativeFunction, r: int, bound: int) -> list[int]:
+    """All a <= bound with f(a), f(a+1), ..., f(a+r-1) in the kernel: the
+    indices of run_mask's 1 bytes."""
+    return list(compress(range(bound + 1), run_mask(f, r, bound)))

@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
+from itertools import compress
 
 from .arith import decimal_to_int, int_to_decimal, valuation
 from .blockseq import (
@@ -45,9 +46,9 @@ from .hindman import (
 from .multfunc import (
     FINITE_SUPPORT,
     MultiplicativeFunction,
-    find_runs,
     function_from_dict,
     function_to_dict,
+    run_mask,
 )
 
 PROOF_PIPELINE = "proof-pipeline"
@@ -176,10 +177,8 @@ def ip_witness_direct(
     if m > MAX_GENERATORS:
         raise ValueError(f"generator count m = {m} exceeds the cap {MAX_GENERATORS}")
     limit = node_limit(node_budget)
-    pairs = find_runs(f, 2, bound)
-    flags = bytearray(bound + 1)
-    for a in pairs:
-        flags[a] = 1
+    flags = run_mask(f, 2, bound)
+    pairs = list(compress(range(bound + 1), flags))  # for the ranks only
     nodes = 0
 
     def extend(chosen: tuple[int, ...], cands: int, start: int):

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -881,3 +882,20 @@ def test_parser_asks_the_terminal_width_once(monkeypatch):
     monkeypatch.setattr(shutil, "get_terminal_size", counted)
     cli.build_parser()
     assert len(calls) == 1
+
+
+def test_liouville_runs_to_a_million_peak_below_ten_mib(tmp_path):
+    # 249 458 starts written from the run mask; an int per start, and the
+    # list of them, took the peak to about 15 MiB.
+    out = tmp_path / "runs.json"
+    argv = ["runs", "--k", "2", "--mode", "sieve-bounded", "--limit", "1000001",
+            "--default", "1", "--bound", "1000000", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 10 * 2**20
+    assert json.loads(out.read_text())["count"] == 249_458

@@ -77,3 +77,49 @@ def test_int_rows_are_written_in_one_piece():
     chunks = list(jsontext.json_chunks(doc))
     assert len(chunks) == 5
     assert "".join(chunks) == json.dumps(doc, indent=2)
+
+
+def check_mask_writers(mask):
+    """The mask writers against json.dumps and the plain lines of the
+    index list, at top level and nested deeper."""
+    indices = [i for i, flag in enumerate(mask) if flag]
+    for wrap in (lambda v: v, lambda v: {"runs": v, "count": 0}, lambda v: [{"x": [v]}]):
+        text = "".join(jsontext.json_chunks(wrap(jsontext.MaskIndices(mask))))
+        assert text == json.dumps(wrap(indices), indent=2)
+    assert jsontext.mask_index_lines(mask) == "".join(f"{a}\n" for a in indices)
+
+
+@st.composite
+def masks(draw):
+    size = draw(st.integers(0, 3 * jsontext._MASK_BLOCK + 2))
+    ones = draw(st.sets(st.integers(0, max(size - 1, 0)))) if size else set()
+    return bytes(i in ones for i in range(size))
+
+
+@given(masks())
+def test_mask_indices_match_json_dumps_of_the_index_list(mask):
+    check_mask_writers(mask)
+
+
+def test_mask_indices_at_block_edges():
+    block = jsontext._MASK_BLOCK
+
+    def mask_of(size, *ones):
+        mask = bytearray(size)
+        for i in ones:
+            mask[i] = 1
+        return bytes(mask)
+
+    cases = [
+        b"",
+        bytes(5),
+        mask_of(2, 1),
+        mask_of(1, 0),
+        mask_of(10**6 + 1, 999, 1000, 1001, 10**6),
+        mask_of(2 * block, 0, block - 1, 2 * block - 1),
+        mask_of(3 * block, block, 3 * block - 1),
+        mask_of(block + 1, block),
+        bytes([1]) * (2 * block + 7),
+    ]
+    for mask in cases:
+        check_mask_writers(mask)

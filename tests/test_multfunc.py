@@ -15,6 +15,7 @@ from multlab.multfunc import (
     find_runs,
     function_from_dict,
     function_to_dict,
+    run_mask,
 )
 
 from oracles import naive_class, naive_runs, primes_upto, spf_class_table, spf_find_runs
@@ -237,7 +238,26 @@ def test_find_runs_matches_spf_oracle(case, r, data):
     f, limit = case
     edge = limit - r + 1  # the scan reads up to limit exactly
     bound = data.draw(st.one_of(st.just(edge), st.integers(1, edge)))
-    assert find_runs(f, r, bound) == spf_find_runs(f, r, bound)
+    runs = find_runs(f, r, bound)
+    assert runs == spf_find_runs(f, r, bound)
+    mask = run_mask(f, r, bound)
+    assert (len(mask), mask[0], set(mask) <= {0, 1}) == (bound + 1, 0, True)
+    assert [a for a in range(bound + 1) if mask[a]] == runs
+
+
+@pytest.mark.parametrize("k", [2, 257, 1000])
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_long_runs_on_byte_and_list_tables(k, r):
+    # Three primes off the kernel leave it dense enough for runs of 5;
+    # k > 256 takes the list table.
+    f = MultiplicativeFunction.sieve_bounded(k, {7: 1, 11: k - 1, 13: 2 % k}, 3000)
+    assert isinstance(class_table(f, 10), bytearray if k <= 256 else list)
+    bound = 3000 - r + 1
+    runs = find_runs(f, r, bound)
+    assert runs and runs == spf_find_runs(f, r, bound)
+    assert run_mask(f, r, bound)[0] == 0
+    # 75, 76 and 77 = 7 * 11 are in the kernel for every k
+    assert run_mask(f, 3, 100)[75] == 1
 
 
 @pytest.mark.parametrize(

@@ -69,7 +69,7 @@ def test_generator_count_is_capped_before_any_closure(monkeypatch):
         raise AssertionError("closure formed")
 
     monkeypatch.setattr(witness, "fs_closure", no_closure)
-    monkeypatch.setattr(witness, "find_runs", no_closure)
+    monkeypatch.setattr(witness, "run_mask", no_closure)
     f = MultiplicativeFunction.finite_support(2, {2: 1})
     powers = tuple(1 << i for i in range(40))
     with pytest.raises(ValueError, match="^40 generators exceed the cap 20$"):
