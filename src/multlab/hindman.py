@@ -11,21 +11,13 @@ lexicographically, which makes the first family found a deterministic
 function of the coloring.  Inside the search a block is an integer
 bitmask and a union is a bitwise or.  A coloring tabulated in a
 bytearray (random_coloring, at most 255 colors) is searched on candidate
-bitsets: a first block reads its candidates from windows of its color's
-digit string (a 1 at each mask of that color), and one shift and AND per
-further block leaves the candidates that keep every union monochromatic.
-There a subtree holding no family is counted in any order, the odd
-candidates and those = 2 (mod 4), whose subtrees hold at most mask 1, in
-bulk by bit counts, and only a subtree holding one is visited in canonical
-order.  With two colors and m = 5 that refutes n = 15 in about 0.02 s,
-n = 18 in 0.2 s and n = 20 in 1.5 s.  Any other coloring is scanned one
-candidate at a time, its colors read by mask: computed from the mask (the
-parity colorings, block_sum_coloring's), or asked once per subset and
-memoized.  Those universes go up to n = 60, far past any table.  The
-node count, and so the meaning of a node budget, is that of the plain
-search over tuples on both paths: a candidate the bitsets rule out still
-counts as examined, and an unordered count adds what the ordered scan
-would.
+bitsets, one shift and AND per block chosen (_bitset_search).  Any other
+coloring is scanned one candidate at a time, its colors read by mask:
+computed from the mask (the parity colorings, block_sum_coloring's), or
+asked once per subset and memoized, so those universes go up to n = 60,
+far past any table.  Both paths count nodes as the plain search over
+tuples does, so a node budget means the same on either: a candidate the
+bitsets rule out still counts as examined.
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ import random
 import struct
 from dataclasses import dataclass, field, replace
 from functools import cache
-from itertools import compress
 from typing import Callable, Sequence
 
 from .blockseq import all_subset_sums, normalize_index_set, precedes
@@ -177,9 +168,8 @@ def monochromatic_fu_search(
     is scanned one candidate at a time (_scan_search), colors read by mask
     as the module docstring says, so a computed coloring costs memory for the
     subsets colored, never 2^n up front.  Both find the same family in the
-    same number of nodes; the bitset search counts a subtree holding no
-    family without ordering it, and that count is the scan's.  The family
-    found is rechecked on the subset sums of its masks.
+    same number of nodes.  The family found is rechecked on the subset sums
+    of its masks.
 
     Returns None when the finite universe is exhausted; raises
     SearchBudgetExceeded if node_budget candidate blocks were examined
@@ -242,16 +232,6 @@ def _scan_search(color, n: int, m: int, limit: float) -> list[int] | None:
     return extend([], [], 0, 1)
 
 
-# bin() digits to 0/1 flags, which itertools.compress reads as truth values.
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits_descending(bits: int):
-    """Positions of the set bits of bits > 0, largest first."""
-    text = bin(bits)[2:].encode().translate(_FLAGS)
-    return compress(range(len(text) - 1, -1, -1), text)
-
-
 def _digits_where(values: bytes, value: int) -> bytes:
     """Binary digits, digit i "1" exactly where values[i] == value."""
     digits = bytearray(b"0" * 256)
@@ -275,88 +255,88 @@ def _bitset_search(table: bytearray, n: int, m: int, limit: float) -> list[int] 
     below the lowest bit of g.  A first block reads its C, the masks of
     its color below its lowest bit 2^w, and the 2^w masks from itself up,
     as windows of one digit string per color (built the first time a
-    first block has that color), not by shifting a 2^n-bit int.
+    first block has that color).
 
-    Survivors are visited in canonical order.  Among the masks below 2^w
-    (the blocks over {lo..n}, w = n - lo + 1), the mask x of lowest bit
-    2^b is number 2^(w - b) - 1 - (x >> (b + 1)) in that order, and the
-    node count adds the gaps between survivors, so every candidate skipped
-    counts as examined, as in the scan.
-
-    That order matters only for a subtree holding a family.  So each level
-    first settles its subtree unordered (settle): 2^w - 1 for its own
-    candidates, plus, for each survivor x of lowest bit 2^b, 2^b - 1 if
-    nothing can follow x, else the count below x.  Only a mask y < 2^b
-    with y and x + y candidates can follow x, so two classes of survivors
-    are counted in bulk: an odd x adds 0, and an x = 2 (mod 4) adds 1,
-    which is also the count below it (mask 1 alone) unless that is the
-    last block of a family.  One AND with a pattern of 0x44 bytes and one
-    bit_count take them all; only survivors = 0 (mod 4), picked by a
-    pattern of 0x11 bytes, are walked, in any order.  settle gives up at a
-    family, or once the count passes the room left in the budget; then the
-    ordered visit runs.  Counts only grow, so a settled count within the
-    room means no budget check inside the subtree could have raised.
+    Among the masks below 2^w (the blocks over {lo..n}, w = n - lo + 1),
+    canonical order takes the lowest-bit groups from 2^(w - 1) down to 1,
+    each by descending mask, so the mask x of lowest bit 2^b is number
+    2^(w - b) - 1 - (x >> (b + 1)).  extend walks a level's survivors in
+    that order and returns what the scan counts in its subtree: 2^w - 1,
+    plus for each survivor x of lowest bit 2^b the count below x, or
+    2^b - 1 if nothing can follow x.  Only a mask y < 2^b with y and x + y
+    candidates can follow x, so the survivors below 4, last in that order,
+    are counted in bulk: an odd x adds 0, and an x = 2 (mod 4) adds 1 (mask
+    1), which ends a family when x would be the last block but one.  A
+    family ends the walk at once, its blocks pushed onto found, deepest
+    first.  room is what is left of the budget where the subtree starts;
+    counts only grow, so a count past it means the search passes the
+    budget before it decides.
     """
     digits = {}
     nodes = 0
-    size = ((1 << n) + 7) >> 3
-    twos = int.from_bytes(b"\x44" * size, "little")
-    fours = int.from_bytes(b"\x11" * size, "little")
+    found = []
+    # groups[b] has bit x for each mask x < 2^(n - 1) of lowest bit 2^b,
+    # where every candidate after a first block lies (b = 1 always).
+    size = 1 << (n - 1)
+    groups = []
+    for b in range(max(n - 1, 2)):
+        bits, step = 1 << (1 << b), 2 << b
+        while step < size:
+            bits |= bits << step
+            step <<= 1
+        groups.append(bits)
+    # Masks = 2 (mod 4), and = 0 (mod 4) from 4 up.
+    twos = groups[1]
+    fours = twos << 2
 
-    def settle(depth: int, cands: int, w: int, room: float) -> int | None:
-        if depth == m - 1:
-            return None
+    def extend(depth: int, cands: int, w: int, room: float) -> int | None:
+        last = depth == m - 1
+        count = 0
+        # Survivors from 4 up (every survivor on the last level), one group
+        # at a time, until none is left.
+        rest = cands if last else cands & fours
+        b = w
+        while rest:
+            b -= 1
+            group = rest & groups[b]
+            if not group:
+                continue
+            rest ^= group
+            low = 1 << b
+            cut = (1 << low) - 1
+            while group:
+                x = group.bit_length() - 1
+                group ^= 1 << x
+                if not last:
+                    inner = cands & (cands >> x) & cut
+                    if not inner:
+                        count += low - 1
+                        continue
+                at = count + (1 << (w - b)) - 1 - (x >> (b + 1))
+                if at > room:
+                    raise _over_budget(limit)
+                if not last:
+                    below = extend(depth + 1, inner, b, room - at)
+                    if below is not None:
+                        count += below
+                        continue
+                found.append(x)
+                return None
         leaves = cands & twos
         # Mask 1 follows a survivor x = 2 (mod 4) when 1 and x + 1 are
-        # candidates; one level from the end that completes a family.
-        if depth == m - 2 and cands & 2 and leaves & (cands >> 1):
-            return None
-        count = (1 << w) - 1 + leaves.bit_count()
-        if count > room:
-            return None
-        walk = cands & fours
-        while walk:
-            x = walk.bit_length() - 1
-            walk ^= 1 << x
-            low = x & -x
-            inner = cands & (cands >> x) & ((1 << low) - 1)
-            if inner:
-                below = settle(depth + 1, inner, low.bit_length() - 1, room - count)
-                if below is None:
-                    return None
-                count += below
-            else:
-                count += low - 1
-            if count > room:
-                return None
-        return count
-
-    def extend(chosen: list[int], cands: int, w: int):
-        nonlocal nodes
-        count = settle(len(chosen), cands, w, limit - nodes)
-        if count is not None:
-            nodes += count
-            return None
-        last = len(chosen) == m - 1
-        seen = 0
-        for x in sorted(_bits_descending(cands), key=lambda x: x & -x, reverse=True):
-            low = x & -x
-            index = (1 << w) // low - 1 - x // (low << 1)
-            nodes += index - seen
-            seen = index
-            if nodes > limit:
+        # candidates; one level from the end that completes a family, once
+        # every survivor = 2 (mod 4) from x up has had its mask 1 examined.
+        if depth == m - 2 and cands & 2 and (ends := leaves & (cands >> 1)):
+            x = ends.bit_length() - 1
+            at = count + (leaves >> x).bit_count() + (1 << (w - 1)) - 1 - (x >> 2)
+            if at > room:
                 raise _over_budget(limit)
-            if last:
-                return chosen + [x]
-            inner = cands & (cands >> x) & ((1 << low) - 1)
-            if inner:
-                found = extend(chosen + [x], inner, low.bit_length() - 1)
-                if found is not None:
-                    return found
-            else:
-                nodes += low - 1
-        nodes += (1 << w) - 1 - seen
-        return None
+            found.extend((1, x))
+            return None
+        count += (1 << w) - 1 + leaves.bit_count()
+        if count > room:
+            raise _over_budget(limit)
+        return count
 
     if m == 1:
         return [1 << (n - 1)]
@@ -378,9 +358,10 @@ def _bitset_search(table: bytearray, n: int, m: int, limit: float) -> list[int] 
                 below[t] = int(digits[t][:low][::-1], 2)
             inner = below[t] & int(digits[t][block:block + low][::-1], 2)
             if inner:
-                found = extend([block], inner, n - mx)
-                if found is not None:
-                    return found
+                count = extend(1, inner, n - mx, limit - nodes)
+                if count is None:
+                    return [block] + found[::-1]
+                nodes += count
             else:
                 nodes += low - 1
     nodes += 1 << (n - 1)

@@ -1,6 +1,5 @@
 import dataclasses
 import random
-import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -254,85 +253,77 @@ def test_table_of_more_colors_than_a_byte_takes_the_scan(n, m, seed):
         monochromatic_fu_search(coloring, m, node_budget=nodes - 1)
 
 
+# The family random_coloring(n, 2, 0) gives for m = 4, n = 16 to 20: the
+# colors of the blocks it meets first do not depend on n.
+SEED_0_FAMILY = ((1,), (2, 3), (4, 5, 6, 8), (9, 10, 12, 14, 16))
+
+
 def test_refutation_node_count_at_scale():
     # The families benchmark's m = 5 refutation: exactly 428 357 candidate
     # blocks, as the scan over every candidate counts them.  The other
     # seeds and m = 4 (a family found) take the counts the scan takes, and
     # so do the refutations at n = 16 to 18, whose subtrees are counted
-    # mostly in bulk.
+    # mostly in bulk, and the families found at n = 18 and 20.
     for n, seed, m, nodes in [
         (15, 0, 5, 428_357), (15, 1, 5, 417_701), (15, 1, 4, 65), (15, 0, 4, 232),
         (16, 0, 6, 953_944), (17, 3, 6, 2_061_207), (18, 0, 5, 4_654_260),
+        (18, 0, 4, 169), (20, 0, 4, 169),
     ]:
         coloring = random_coloring(n, 2, seed)
         found = monochromatic_fu_search(coloring, m, node_budget=nodes)
         assert found == monochromatic_fu_search(coloring, m)
         assert (found is None) == (m >= 5)
+        if n >= 18 and m == 4:
+            assert found.blocks == SEED_0_FAMILY
         with pytest.raises(SearchBudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
             monochromatic_fu_search(coloring, m, node_budget=nodes - 1)
 
 
-def first_family_by_descending_masks(coloring, m, first):
-    """The first family after block first, later blocks by descending mask.
-
-    That is the order in which the bitset search counts a subtree before
-    visiting it in block order, so this is the family the count meets.
-    """
-    n = coloring.n
-
-    def extend(masks):
-        if len(masks) == m:
-            return masks
-        low = masks[-1] & -masks[-1]
-        for x in range(low - 1, 0, -1):
-            family = BlockFamily(tuple(_block_of(y, n) for y in masks + [x]))
-            if len({coloring.color_of(u) for u in fu_closure(family)}) == 1:
-                found = extend(masks + [x])
-                if found:
-                    return found
-        return None
-
-    return tuple(_block_of(x, n) for x in extend([_mask_of(first, n)]))
+def test_found_family_at_n20_visits_its_levels_without_copying_them():
+    # The 169 nodes of this family walk three levels of up to 2^19
+    # candidates.  Beyond the 1 MiB table read, the search holds a 1 MiB
+    # digit string for the color, the lowest-bit group patterns (64 KiB
+    # each) and the candidate ints; a list or sort of a level's survivors
+    # would take it past 6 MiB.
+    coloring = random_coloring(MAX_RANDOM_N, 2, seed=0)
+    tracemalloc.start()
+    try:
+        family = monochromatic_fu_search(coloring, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family.blocks == SEED_0_FAMILY
+    assert peak < 6 << 20
 
 
-# Colorings where counting a subtree without ordering gives up and the
-# ordered visit finds the family: at the exact budget the count passes the
-# room left (fewer settle calls than unbudgeted), or the count meets a
-# family that is not the first in block order.
-@pytest.mark.parametrize("n, classes, seed, m, gives_up, count_calls", [
-    (9, 2, 116, 4, "room", (19, 15)),
-    (8, 2, 30, 4, "room", (27, 25)),
-    (9, 2, 13, 3, "family", (4, 4)),
-    (9, 3, 4, 3, "family", (3, 3)),
+# Colorings whose first family lies past earlier survivors of its levels,
+# so its node count needs each skipped survivor's subtree counted, in
+# block order up to the family and no further.  The last six end the
+# family in the classes counted in bulk elsewhere: mask 1 right after a
+# block whose largest element is n - 1 (later in its level than other
+# such blocks), or a last block whose largest element is n or n - 1.
+@pytest.mark.parametrize("n, classes, seed, m, ending", [
+    (9, 2, 116, 4, "any"),
+    (8, 2, 30, 4, "any"),
+    (9, 2, 13, 3, "any"),
+    (9, 3, 4, 3, "any"),
+    (9, 2, 98, 4, "mask1"),
+    (9, 3, 67, 3, "mask1"),
+    (9, 2, 206, 4, "odd"),
+    (9, 2, 4, 4, "odd"),
+    (9, 3, 114, 3, "2mod4"),
+    (9, 2, 199, 4, "2mod4"),
 ])
-def test_ordered_visit_after_the_count_gives_up(n, classes, seed, m, gives_up, count_calls):
+def test_found_family_and_its_exact_budget(n, classes, seed, m, ending):
     coloring = random_coloring(n, classes, seed)
     expected, nodes = naive_fu_search(coloring.color_of, n, m)
-    calls = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls[frame.f_code.co_name] += 1
-
-    seen = []
+    before, last = expected[-2][-1], expected[-1][-1]
+    assert {"any": True,
+            "mask1": expected[-1] == (n,) and before == n - 1,
+            "odd": last == n and before < n - 1,
+            "2mod4": last == n - 1}[ending]
     for budget in (None, nodes):
-        calls.clear()
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            family = monochromatic_fu_search(coloring, m, node_budget=budget)
-        finally:
-            sys.setprofile(previous)
-        assert family.blocks == expected
-        # One ordered visit per level of the family found: only the ordered
-        # visit reads survivors in descending order.
-        assert calls["_bits_descending"] == m - 1
-        seen.append(calls["settle"])
-    assert tuple(seen) == count_calls
-    if gives_up == "room":
-        assert count_calls[1] < count_calls[0]
-    else:
-        assert first_family_by_descending_masks(coloring, m, expected[0]) != expected
+        assert monochromatic_fu_search(coloring, m, node_budget=budget).blocks == expected
     with pytest.raises(SearchBudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
         monochromatic_fu_search(coloring, m, node_budget=nodes - 1)
 
